@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import InvariantError
 from .euler import (
     SchwartzFn,
     Signature,
@@ -82,7 +83,7 @@ def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
 
     Enumerates the 3-dimensional paths lifting (p1, p2) directly; each lift q
     contributes (-1)^(len(q)+len(p13)) to its own projection p13, and distinct
-    lifts must land on distinct projections (the uniqueness property, asserted
+    lifts must land on distinct projections (the uniqueness property, checked
     here and tested at scale through lift3).
     """
     n, m1 = p1.target
@@ -98,7 +99,8 @@ def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
         if i1 == n1 and i2 == n2:
             proj = tuple((a, c) for a, _, c in prefix if a or c)
             p3 = Path(2, proj)
-            assert p3 not in row, (p1, p2, p3)
+            if p3 in row:
+                raise InvariantError(f"two lifts of {p1}, {p2} project to {p3}")
             row[p3] = -1 if (len(prefix) + len(proj)) % 2 else 1
             return
         for s in _STEPS3:
@@ -383,7 +385,7 @@ def multiplicity_rank(word: str, m: int) -> int:
 
     Realized as the rank of the idempotent e(x) = apply_kernel(
     invariant_extension(x), key_indicator(word, a)) acting on the span of the
-    cells of arity m over n = len(word) breakpoints.  Idempotency is asserted.
+    cells of arity m over n = len(word) breakpoints.  Idempotency is checked.
     """
     check_weight(word)
     n = len(word)
@@ -406,5 +408,6 @@ def multiplicity_rank(word: str, m: int) -> int:
         ]
         for i in range(len(basis))
     ]
-    assert square == matrix, f"operator for {word!r} at arity {m} is not idempotent"
+    if square != matrix:
+        raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")
     return matrix_rank(matrix)

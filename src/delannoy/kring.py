@@ -15,8 +15,13 @@ carries:
     identities, and Schur operations through integer-valued polynomials
     given by the hook content formula.
 
-Coefficients are exact rationals; ring-theoretic outputs are asserted to be
-integral where integrality is guaranteed.
+Classes hold exact rational (`Fraction`) coefficients.  The product engine
+works in `int`s: `_tensor_basis` is a bottom-up dynamic programme over suffix
+pairs (Hoffman's quasi-shuffle recursion), and it and `_antipode_word` keep
+immutable (word, int) tuples in LRU caches of `_CACHE_SIZE` entries.
+`Fraction` arithmetic is left where a real division happens (the /j step of
+the binomial chain) or a caller supplies a non-integral coefficient.  Outputs
+that must be integral raise `InvariantError` if they are not.
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
+from .errors import InvariantError
 from .euler import frac_str, parse_frac
 from .paths import check_weight
 
 _WORD_KEY = lambda w: (len(w), w)  # noqa: E731 - canonical basis order
-
-
-def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
+_CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
+_MIXED = ("b", "w", "")  # the words of b + w + 1: what a b/w collision emits
 
 
 class KClass:
@@ -64,9 +68,7 @@ class KClass:
 
     def degree(self):
         """Filtration degree: longest word in the support (-inf for zero)."""
-        if not self.coeffs:
-            return float("-inf")
-        return max(len(w) for w in self.coeffs)
+        return max((len(w) for w in self.coeffs), default=float("-inf"))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -111,13 +113,11 @@ class KClass:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w, c in sorted(self.coeffs.items(), key=lambda kv: _WORD_KEY(kv[0])):
-            name = w if w else "1"
-            bits.append(f"{c}*{name}" if c != 1 or not w else name)
-        return " + ".join(bits)
+        bits = [
+            f"{c}*{w or '1'}" if c != 1 or not w else w
+            for w, c in sorted(self.coeffs.items(), key=lambda kv: _WORD_KEY(kv[0]))
+        ]
+        return " + ".join(bits) or "0"
 
     def to_json(self) -> dict:
         terms = [
@@ -184,16 +184,15 @@ class KTensorClass:
 
     def __mul__(self, other):
         if isinstance(other, KTensorClass):
-            out: dict[tuple[str, str], Fraction] = {}
+            out: dict[tuple[str, str], int | Fraction] = {}
             for (u1, v1), c1 in self.coeffs.items():
                 for (u2, v2), c2 in other.coeffs.items():
-                    scale = c1 * c2
-                    left = _tensor_basis(u1, u2)
+                    scale = _exact(c1 * c2)
                     right = _tensor_basis(v1, v2)
-                    for lu, cl in left.coeffs.items():
-                        for rv, cr in right.coeffs.items():
+                    for lu, cl in _tensor_basis(u1, u2):
+                        for rv, cr in right:
                             key = (lu, rv)
-                            out[key] = out.get(key, Fraction(0)) + scale * cl * cr
+                            out[key] = out.get(key, 0) + scale * cl * cr
             return KTensorClass(out)
         s = Fraction(other)
         return KTensorClass({k: c * s for k, c in self.coeffs.items()})
@@ -201,14 +200,13 @@ class KTensorClass:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (u, v), c in sorted(
-            self.coeffs.items(), key=lambda kv: (_WORD_KEY(kv[0][0]), _WORD_KEY(kv[0][1]))
-        ):
-            bits.append(f"{c}*({u or '1'}(x){v or '1'})")
-        return " + ".join(bits)
+        bits = [
+            f"{c}*({u or '1'}(x){v or '1'})"
+            for (u, v), c in sorted(
+                self.coeffs.items(), key=lambda kv: (_WORD_KEY(kv[0][0]), _WORD_KEY(kv[0][1]))
+            )
+        ]
+        return " + ".join(bits) or "0"
 
     def to_json(self) -> dict:
         terms = [
@@ -235,47 +233,53 @@ def concat_mul(x: KClass, y: KClass) -> KClass:
     return KClass(coeffs)
 
 
-def _collision(a: str, b: str) -> KClass:
-    """Factor contributed when letters a and b collide in an interleaving."""
-    if a == b:
-        return KClass.word(a)
-    return KClass({"b": Fraction(1), "w": Fraction(1), "": Fraction(1)})
+@lru_cache(maxsize=_CACHE_SIZE)
+def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
+    """Standard product of two basis words, as immutable (word, count) pairs.
 
-
-def _prepend(words: KClass, prefix_class: KClass) -> KClass:
-    coeffs: dict[str, Fraction] = {}
-    for g, cg in prefix_class.coeffs.items():
-        for w, c in words.coeffs.items():
-            key = g + w
-            coeffs[key] = coeffs.get(key, Fraction(0)) + cg * c
-    return KClass(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _tensor_basis(lam: str, mu: str) -> KClass:
-    """Standard product of two basis words.
-
-    Sums over all interleavings, possibly with collisions, by cases on the
-    first emitted letter: from lam, from mu, or a collision of both heads.
+    Bottom-up over suffix pairs: the cell for (lam[i:], mu[j:]) sums its
+    three neighbours by cases on the first emitted letter: lam[i], mu[j], or
+    a collision of both (equal letters keep the letter; b with w gives b, w
+    or nothing).  Only two rows of cells are alive at once.  The recursion is
+    symmetric in its arguments, so the rows run along the shorter word.
     """
-    if not lam:
-        return KClass.word(mu)
-    if not mu:
-        return KClass.word(lam)
-    out = _prepend(_tensor_basis(lam[1:], mu), KClass.word(lam[0]))
-    out = out + _prepend(_tensor_basis(lam, mu[1:]), KClass.word(mu[0]))
-    out = out + _prepend(_tensor_basis(lam[1:], mu[1:]), _collision(lam[0], mu[0]))
-    return out
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    below = [{mu[j:]: 1} for j in range(len(mu) + 1)]
+    for i in range(len(lam) - 1, -1, -1):
+        a = lam[i]
+        row = [None] * len(mu) + [{lam[i:]: 1}]
+        for j in range(len(mu) - 1, -1, -1):
+            b = mu[j]
+            cell = {a + w: c for w, c in below[j].items()}
+            get = cell.get
+            for w, c in row[j + 1].items():
+                k = b + w
+                cell[k] = get(k, 0) + c
+            for h in (a,) if a == b else _MIXED:
+                for w, c in below[j + 1].items():
+                    k = h + w
+                    cell[k] = get(k, 0) + c
+            row[j] = cell
+        below = row
+    return tuple(below[0].items())
+
+
+def _exact(c: Fraction) -> int | Fraction:
+    """An integral coefficient as an int, so that products stay in int arithmetic."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def tensor_mul(x: KClass, y: KClass) -> KClass:
     """The standard (tensor) product, extended bilinearly from basis words."""
-    coeffs: dict[str, Fraction] = {}
+    ys = [(v, _exact(cv)) for v, cv in y.coeffs.items()]
+    coeffs: dict[str, int | Fraction] = {}
     for u, cu in x.coeffs.items():
-        for v, cv in y.coeffs.items():
+        cu = _exact(cu)
+        for v, cv in ys:
             scale = cu * cv
-            for w, c in _tensor_basis(u, v).coeffs.items():
-                coeffs[w] = coeffs.get(w, Fraction(0)) + scale * c
+            for w, c in _tensor_basis(u, v):
+                coeffs[w] = coeffs.get(w, 0) + scale * c
     return KClass(coeffs)
 
 
@@ -294,28 +298,20 @@ def schwartz_class(n: int) -> KClass:
 
 def induce(t: KTensorClass) -> KClass:
     """Induction along the point stabilizer: x (x) y -> x . (b+w+1) . y (concat)."""
-    mid = line_class()
     out: dict[str, Fraction] = {}
     for (u, v), c in t.coeffs.items():
-        piece = concat_mul(concat_mul(KClass.word(u), mid), KClass.word(v))
-        for w, cw in piece.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c * cw
+        for w in (u + mid + v for mid in _MIXED):
+            out[w] = out.get(w, 0) + c
     return KClass(out)
 
 
 def restrict(x: KClass) -> KTensorClass:
     """Split each word between letters, plus splits that delete one letter."""
     out: dict[tuple[str, str], Fraction] = {}
-
-    def add(u: str, v: str, c: Fraction) -> None:
-        out[(u, v)] = out.get((u, v), Fraction(0)) + c
-
     for w, c in x.coeffs.items():
-        n = len(w)
-        for i in range(n + 1):
-            add(w[:i], w[i:], c)
-        for i in range(1, n + 1):
-            add(w[: i - 1], w[i:], c)
+        splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
+        for key in splits + [(w[: i - 1], w[i:]) for i in range(1, len(w) + 1)]:
+            out[key] = out.get(key, 0) + c
     return KTensorClass(out)
 
 
@@ -326,25 +322,27 @@ def counit(x: KClass) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
-def _antipode_word(w: str) -> KClass:
-    if not w:
-        return KClass.unit()
-    n = len(w)
-    sign = Fraction(-1 if n % 2 else 1)
-    out = KClass({"": sign})
-    for i in range(1, n + 1):
-        head = KClass.word(w[:i]) + KClass.word(w[: i - 1])
-        out = out - tensor_mul(head, _antipode_word(w[i:]))
-    return out
+@lru_cache(maxsize=_CACHE_SIZE)
+def _antipode_word(w: str) -> tuple[tuple[str, int], ...]:
+    """S(w) = (-1)^|w| - sum over i of (w[:i] + w[:i-1]) * S(w[i:]), as (word, int) pairs."""
+    out = {"": -1 if len(w) % 2 else 1}
+    for i in range(1, len(w) + 1):
+        tail = _antipode_word(w[i:])
+        for head in (w[:i], w[: i - 1]):
+            for v, c in tail:
+                for t, d in _tensor_basis(head, v):
+                    out[t] = out.get(t, 0) - c * d
+    return tuple((t, c) for t, c in out.items() if c)
 
 
 def antipode(x: KClass) -> KClass:
     """The antipode, computed by its defining recursion on word length."""
-    out = KClass()
+    out: dict[str, int | Fraction] = {}
     for w, c in x.coeffs.items():
-        out = out + c * _antipode_word(w)
-    return out
+        c = _exact(c)
+        for v, d in _antipode_word(w):
+            out[v] = out.get(v, 0) + c * d
+    return KClass(out)
 
 
 def dual(x: KClass) -> KClass:
@@ -354,7 +352,7 @@ def dual(x: KClass) -> KClass:
 
 
 def inner(x: KClass, y: KClass) -> Fraction:
-    """The pairing making the words an orthonormal basis."""
+    """The pairing making the words (or the pairs of words) an orthonormal basis."""
     small, large = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
     return sum(
         (c * large.coeffs[w] for w, c in small.coeffs.items() if w in large.coeffs),
@@ -362,20 +360,14 @@ def inner(x: KClass, y: KClass) -> Fraction:
     )
 
 
-def inner_tensor(s: KTensorClass, t: KTensorClass) -> Fraction:
-    small, large = (s, t) if len(s.coeffs) <= len(t.coeffs) else (t, s)
-    return sum(
-        (c * large.coeffs[k] for k, c in small.coeffs.items() if k in large.coeffs),
-        Fraction(0),
-    )
+inner_tensor = inner
 
 
 def _binomial_chain(x: KClass, top: int) -> list[KClass]:
     """binom(x, 0), ..., binom(x, top), computed incrementally over rationals."""
     chain = [KClass.unit()]
     for j in range(1, top + 1):
-        nxt = tensor_mul(chain[-1], x - (j - 1)) * Fraction(1, j)
-        chain.append(nxt)
+        chain.append(tensor_mul(chain[-1], x - (j - 1)) * Fraction(1, j))
     return chain
 
 
@@ -384,7 +376,8 @@ def lambda_binomial(x: KClass, i: int) -> KClass:
     if i < 0:
         raise ValueError("exterior power index must be non-negative")
     out = _binomial_chain(x, i)[i]
-    assert out.is_integral(), f"binom(x, {i}) has non-integral coefficients: {out!r}"
+    if not out.is_integral():
+        raise InvariantError(f"binom(x, {i}) has non-integral coefficients: {out!r}")
     return out
 
 
@@ -400,13 +393,8 @@ def adams(x: KClass, i: int) -> KClass:
     e = _binomial_chain(x, i)
     p: list[KClass] = [KClass.unit(), e[1]]
     for k in range(2, i + 1):
-        acc = KClass()
-        for j in range(1, k):
-            term = tensor_mul(e[j], p[k - j])
-            acc = acc + (term if j % 2 == 1 else -term)
-        tail = Fraction(k) * e[k]
-        acc = acc + (tail if k % 2 == 1 else -tail)
-        p.append(acc)
+        acc = sum(((-1) ** (j - 1) * tensor_mul(e[j], p[k - j]) for j in range(1, k)), KClass())
+        p.append(acc + (-1) ** (k - 1) * k * e[k])
     return p[i]
 
 
@@ -446,11 +434,7 @@ class IntValuedPoly:
         )
 
     def degree(self) -> int:
-        deg = -1
-        for i, c in enumerate(self.coeffs):
-            if c:
-                deg = i
-        return deg
+        return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
 
 
 def _hook_content_value(parts: tuple[int, ...], t: Fraction) -> Fraction:
@@ -473,23 +457,21 @@ def schur_dimension_poly(parts: Sequence[int]) -> IntValuedPoly:
     parts = check_partition(parts)
     size = sum(parts)
     values = [_hook_content_value(parts, Fraction(j)) for j in range(size + 1)]
-    assert all(v.denominator == 1 for v in values), "hook content gave non-integers"
-    coeffs = []
-    for i in range(size + 1):
-        c = sum((-1) ** (i - j) * comb(i, j) * int(values[j]) for j in range(i + 1))
-        coeffs.append(c)
-    return IntValuedPoly(tuple(coeffs))
+    if any(v.denominator != 1 for v in values):
+        raise InvariantError(f"hook content gave non-integers for {parts}")
+    return IntValuedPoly(tuple(
+        sum((-1) ** (i - j) * comb(i, j) * int(values[j]) for j in range(i + 1))
+        for i in range(size + 1)
+    ))
 
 
 def schur_apply(parts: Sequence[int], x: KClass) -> KClass:
     """Evaluate the Schur polynomial of a partition at a ring element."""
     poly = schur_dimension_poly(parts)
     chain = _binomial_chain(x, len(poly.coeffs) - 1)
-    out = KClass()
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            out = out + c * chain[i]
-    assert out.is_integral(), f"Schur value has non-integral coefficients: {out!r}"
+    out = sum((c * chain[i] for i, c in enumerate(poly.coeffs) if c), KClass())
+    if not out.is_integral():
+        raise InvariantError(f"Schur value has non-integral coefficients: {out!r}")
     return out
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .errors import InvariantError
+
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank is unchanged)."""
@@ -21,7 +23,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals, by Bareiss fraction-free elimination.
 
     Every intermediate entry is a minor of the integer matrix, so all
-    divisions are exact; this is asserted rather than assumed.
+    divisions are exact; this is checked rather than assumed.
     """
     m = _integer_rows(rows)
     if not m or not m[0]:
@@ -40,7 +42,8 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             for c in range(col, ncols):
                 num = m[r][c] * pivot - factor * m[rank][c]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination produced a non-exact division"
+                if rem:
+                    raise InvariantError("fraction-free elimination produced a non-exact division")
                 m[r][c] = q
         prev = pivot
         rank += 1

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .errors import InvariantError
+
 Step = tuple[int, ...]
 
 
@@ -185,8 +187,9 @@ def _all_lift3(p12: Path, p23: Path, p13: Path) -> list[Path]:
 def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
     """The unique 3-dimensional path projecting to (p12, p23, p13), or None.
 
-    Collects all solutions of the backtracking search and asserts there is at
-    most one; uniqueness always holds, but it is checked rather than assumed.
+    Collects all solutions of the backtracking search and raises
+    InvariantError if there is more than one; uniqueness always holds, but
+    it is checked rather than assumed.
     """
     if p12.dim != 2 or p23.dim != 2 or p13.dim != 2:
         raise ValueError("lift3 expects 2-dimensional paths")
@@ -198,7 +201,8 @@ def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
             f"inconsistent targets {p12.target}, {p23.target}, {p13.target}"
         )
     solutions = _all_lift3(p12, p23, p13)
-    assert len(solutions) <= 1, (p12, p23, p13, solutions)
+    if len(solutions) > 1:
+        raise InvariantError(f"{len(solutions)} lifts of {p12}, {p23}, {p13}")
     return solutions[0] if solutions else None
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import delannoy
 from delannoy.cli import main
 
 
@@ -151,3 +156,22 @@ def test_bad_word_is_reported(capsys):
 def test_bad_partition(capsys):
     code = main(["ring", "schur", "--lambda", "1,2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 1200])
+def test_ring_mul_long_word_matches_closed_form(n):
+    # b^n * w = sum_{i<=n} b^i w b^(n-i) + sum_{i<n} b^i w b^(n-1-i) + n b^n + n b^(n-1),
+    # run as its own process so that the exit code is the one a shell sees
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delannoy.cli", "ring", "mul",
+         "--x", "b" * n, "--y", "w", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    expected = Counter("b" * i + "w" + "b" * (n - i) for i in range(n + 1))
+    expected.update("b" * i + "w" + "b" * (n - 1 - i) for i in range(n))
+    expected.update({"b" * n: n, "b" * (n - 1): n})
+    terms = json.loads(proc.stdout)["terms"]
+    assert len(terms) == 2 * n + 3
+    assert {t["word"]: t["coeff"] for t in terms} == {w: f"{c}/1" for w, c in expected.items()}

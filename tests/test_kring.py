@@ -1,9 +1,18 @@
+import contextlib
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delannoy
+from delannoy import kring
 from delannoy.kring import (
     IntValuedPoly,
     KClass,
@@ -27,6 +36,7 @@ from delannoy.kring import (
     schur_dimension_poly,
     schwartz_class,
     shuffle_words,
+    tensor_mul,
 )
 from delannoy.linalg import matrix_rank
 from delannoy.paths import enumerate_paths, weights_up_to
@@ -163,6 +173,85 @@ class TestStandardProduct:
                 for s in shuffle_words(u, v):
                     expected[s] = expected.get(s, F(0)) + 1
                 assert got == expected
+
+
+def reference_product(u, v):
+    """The product as its definition reads: every interleaving of u and v in
+    which letters may collide (equal letters keep the letter, b with w gives
+    b, w or nothing), counted with multiplicity."""
+    out = Counter()
+
+    def walk(i, j, prefix):
+        if i == len(u) and j == len(v):
+            out[prefix] += 1
+        if i < len(u):
+            walk(i + 1, j, prefix + u[i])
+        if j < len(v):
+            walk(i, j + 1, prefix + v[j])
+        if i < len(u) and j < len(v):
+            for g in (u[i],) if u[i] == v[j] else ("b", "w", ""):
+                walk(i + 1, j + 1, prefix + g)
+
+    walk(0, 0, "")
+    return KClass(dict(out))
+
+
+words5 = st.text(alphabet="bw", max_size=5)
+
+
+def classes(max_len):
+    """Classes of up to three words, with integral and non-integral coefficients."""
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    words = st.text(alphabet="bw", max_size=max_len)
+    return st.dictionaries(words, coeffs, max_size=3).map(KClass)
+
+
+class TestProductProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(words5, words5)
+    def test_matches_interleaving_definition(self, u, v):
+        assert tensor_mul(word(u), word(v)) == reference_product(u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(classes(5), classes(5))
+    def test_commutative_and_counit_multiplicative(self, x, y):
+        assert x * y == y * x
+        assert counit(x * y) == counit(x) * counit(y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(classes(3), classes(3), classes(3))
+    def test_associative(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
+
+
+class TestEngine:
+    def test_cached_values_cannot_be_poisoned(self):
+        b, w, bw = word("b"), word("w"), word("bw")
+        product = word("bw") + word("wb") + word("b") + word("w") + ONE
+        anti = word("wb") + 2 * word("b") + 2 * word("w") + 4 * ONE
+        for _ in range(2):
+            assert b * w == product
+            assert antipode(bw) == anti
+            (b * w).coeffs["bw"] = F(99)
+            antipode(bw).coeffs["wb"] = F(99)
+            for cached in (kring._tensor_basis("b", "w"), kring._antipode_word("bw")):
+                with contextlib.suppress(AttributeError, TypeError):
+                    cached.coeffs["bw"] = F(99)
+
+    def test_integrality_guard_survives_optimize_flag(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from delannoy import InvariantError, KClass, lambda_binomial\n"
+            "try:\n"
+            "    lambda_binomial(KClass({'': Fraction(1, 2)}), 2)\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(delannoy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInductionRestriction:
