@@ -33,7 +33,6 @@ indicators; flipping either convention breaks those tests.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -43,14 +42,12 @@ from .euler import (
     SchwartzFn,
     Signature,
     cell_representative,
-    frac_str,
     indicator_of_cell,
     iter_signatures,
     key_indicator,
     pair,
-    parse_frac,
 )
-from .linalg import matrix_rank
+from .linear import Combination, frac_str, json_field, parse_frac
 from .paths import (
     Path,
     Step,
@@ -122,23 +119,27 @@ def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
     return tuple(sorted(row.items(), key=lambda kv: kv[0].steps))
 
 
-class Morphism:
+class Morphism(Combination):
     """A formal rational combination of paths with a common target (n, m)."""
 
-    __slots__ = ("out_arity", "in_arity", "coeffs")
+    __slots__ = ("out_arity", "in_arity")
 
     def __init__(self, out_arity: int, in_arity: int, coeffs: dict[Path, Fraction]):
         self.out_arity = int(out_arity)
         self.in_arity = int(in_arity)
-        clean: dict[Path, Fraction] = {}
-        for p, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if p.dim != 2 or p.target != (self.out_arity, self.in_arity):
-                raise ValueError(f"path {p} does not lie in hom({in_arity} -> {out_arity})")
-            clean[p] = c
-        self.coeffs = clean
+        super().__init__(coeffs)
+
+    def _check_key(self, p: Path) -> Path:
+        if p.dim != 2 or p.target != (self.out_arity, self.in_arity):
+            raise ValueError(f"path {p} does not lie in hom({self.in_arity} -> {self.out_arity})")
+        return p
+
+    @staticmethod
+    def _sort_key(p: Path):
+        return p.steps
+
+    def _space(self) -> tuple:
+        return (self.out_arity, self.in_arity)
 
     @classmethod
     def zero(cls, out_arity: int, in_arity: int) -> "Morphism":
@@ -149,40 +150,6 @@ class Morphism:
         n, m = p.target
         return cls(n, m, {p: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.out_arity == other.out_arity
-            and self.in_arity == other.in_arity
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        if (self.out_arity, self.in_arity) != (other.out_arity, other.in_arity):
-            raise ValueError("hom-space mismatch")
-        coeffs = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return Morphism(self.out_arity, self.in_arity, coeffs)
-
-    def __neg__(self) -> "Morphism":
-        return Morphism(self.out_arity, self.in_arity, {p: -c for p, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "Morphism":
-        s = Fraction(scalar)
-        return Morphism(self.out_arity, self.in_arity, {p: c * s for p, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
 
@@ -190,26 +157,17 @@ class Morphism:
         return f"Morphism({self.out_arity}<-{self.in_arity}, {len(self.coeffs)} terms)"
 
     def to_json(self) -> dict:
-        terms = [
-            {"path": p.to_json(), "coeff": frac_str(c)}
-            for p, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].steps)
-        ]
+        terms = [{"path": p.to_json(), "coeff": frac_str(c)} for p, c in self.terms()]
         return {"n": self.out_arity, "m": self.in_arity, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "Morphism":
         return cls(
-            int(data["n"]),
-            int(data["m"]),
-            {Path.from_json(t["path"]): parse_frac(t["coeff"]) for t in data["terms"]},
+            json_field(data, "n", int),
+            json_field(data, "m", int),
+            {json_field(t, "path", Path.from_json): json_field(t, "coeff", parse_frac)
+             for t in json_field(data, "terms", list)},
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "Morphism":
-        return cls.from_json(json.loads(text))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -385,7 +343,8 @@ def multiplicity_rank(word: str, m: int) -> int:
 
     Realized as the rank of the idempotent e(x) = apply_kernel(
     invariant_extension(x), key_indicator(word, a)) acting on the span of the
-    cells of arity m over n = len(word) breakpoints.  Idempotency is checked.
+    cells of arity m over n = len(word) breakpoints.  Idempotency is checked;
+    the rank of an idempotent is its trace, which must come out integral.
     """
     check_weight(word)
     n = len(word)
@@ -410,4 +369,7 @@ def multiplicity_rank(word: str, m: int) -> int:
     ]
     if square != matrix:
         raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")
-    return matrix_rank(matrix)
+    rank = sum((matrix[i][i] for i in range(len(basis))), Fraction(0))
+    if rank.denominator != 1:
+        raise InvariantError(f"idempotent for {word!r} at arity {m} has trace {rank}")
+    return rank.numerator

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import category, kring, verify
 from .category import Morphism
-from .euler import frac_str
 from .kring import KClass, KTensorClass
+from .linear import frac_str
 from .paths import Path, check_weight, delannoy_number, enumerate_paths, weights_up_to
 
 FORMATS = ("json", "csv", "pretty")
@@ -36,20 +36,11 @@ def _path_cell(p: Path) -> str:
 
 
 def _kclass_rows(x: KClass) -> list[list[str]]:
-    return [
-        [w, frac_str(c)]
-        for w, c in sorted(x.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    return [[w, frac_str(c)] for w, c in x.terms()]
 
 
 def _kclass_pretty(x: KClass) -> str:
-    if x.is_zero():
-        return "0"
-    bits = []
-    for w, c in sorted(x.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        name = w if w else "1"
-        bits.append(f"{c}*{name}")
-    return " + ".join(bits)
+    return " + ".join(f"{c}*{w or '1'}" for w, c in x.terms()) or "0"
 
 
 def _emit(args, payload: dict, csv_table=None, pretty_lines=None) -> None:
@@ -65,10 +56,7 @@ def _emit(args, payload: dict, csv_table=None, pretty_lines=None) -> None:
 
 
 def _morphism_output(args, m: Morphism) -> None:
-    rows = [
-        [_path_cell(p), frac_str(c)]
-        for p, c in sorted(m.coeffs.items(), key=lambda kv: kv[0].steps)
-    ]
+    rows = [[_path_cell(p), frac_str(c)] for p, c in m.terms()]
     pretty = [f"hom({m.in_arity} -> {m.out_arity}), {len(rows)} terms:"] + [
         f"  {coeff}  {steps}" for steps, coeff in rows
     ]
@@ -128,7 +116,7 @@ def cmd_projector(args) -> int:
 
 def cmd_trace(args) -> int:
     if args.morphism is not None:
-        m = Morphism.from_json(json.loads(args.morphism))
+        m = Morphism.loads(args.morphism)
     else:
         m = category.projector(check_weight(args.word))
     value = category.trace(m)
@@ -146,13 +134,7 @@ def _emit_kclass(args, x: KClass) -> None:
 
 
 def _emit_ktensor(args, t: KTensorClass) -> None:
-    rows = [
-        [u, v, frac_str(c)]
-        for (u, v), c in sorted(
-            t.coeffs.items(),
-            key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]),
-        )
-    ]
+    rows = [[u, v, frac_str(c)] for (u, v), c in t.terms()]
     pretty = [f"{c}*({u or '1'} (x) {v or '1'})" for u, v, c in rows]
     _emit(args, t.to_json(), (["left", "right", "coeff"], rows), pretty or ["0"])
 
@@ -276,7 +258,7 @@ def cmd_export(args) -> int:
         for p1 in enumerate_paths((args.n, m)):
             for p2 in enumerate_paths((m, args.n)):
                 prod = Morphism.basis(p1) @ Morphism.basis(p2)
-                for p3, c in sorted(prod.coeffs.items(), key=lambda kv: kv[0].steps):
+                for p3, c in prod.terms():
                     rows.append([_path_cell(p1), _path_cell(p2), _path_cell(p3), frac_str(c)])
         header = ["left", "right", "result", "coeff"]
         payload = {

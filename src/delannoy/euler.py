@@ -21,25 +21,17 @@ refining to a common breakpoint set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
+from .linear import Combination, frac_str, json_field, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
 Scalar = Fraction
-
-
-def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -47,20 +39,6 @@ def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if any(not a < b for a, b in zip(bp, bp[1:])):
         raise ValueError(f"breakpoints {bp} are not strictly increasing")
     return bp
-
-
-def _check_signature(sig: Signature, arity: int, num_breakpoints: int) -> None:
-    if len(sig) != arity:
-        raise ValueError(f"signature {sig} does not have arity {arity}")
-    top = 2 * num_breakpoints
-    prev = -1
-    for s in sig:
-        if not 0 <= s <= top:
-            raise ValueError(f"slot {s} out of range for {num_breakpoints} breakpoints")
-        if s < prev or (s == prev and s % 2 == 1):
-            raise ValueError(f"signature {sig} is not valid (order / repeated point)")
-        prev = s
-    return
 
 
 def iter_signatures(arity: int, num_breakpoints: int) -> Iterator[Signature]:
@@ -154,10 +132,14 @@ def cell_representative(
     return tuple(out)
 
 
-class SchwartzFn:
-    """A finitely presented function on ordered n-tuples: cells + coefficients."""
+class SchwartzFn(Combination):
+    """A finitely presented function on ordered n-tuples: cells + coefficients.
 
-    __slots__ = ("arity", "breakpoints", "coeffs")
+    Two functions are equal, and add, after refining both to the union of
+    their breakpoints.
+    """
+
+    __slots__ = ("arity", "breakpoints")
 
     def __init__(
         self,
@@ -167,15 +149,33 @@ class SchwartzFn:
     ):
         self.arity = int(arity)
         self.breakpoints = _check_breakpoints(breakpoints)
-        clean: dict[Signature, Fraction] = {}
-        for sig, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            sig = tuple(sig)
-            _check_signature(sig, self.arity, len(self.breakpoints))
-            clean[sig] = c
-        self.coeffs = clean
+        super().__init__(coeffs)
+
+    def _check_key(self, sig: Signature) -> Signature:
+        sig = tuple(sig)
+        if len(sig) != self.arity:
+            raise ValueError(f"signature {sig} does not have arity {self.arity}")
+        num_breakpoints = len(self.breakpoints)
+        top = 2 * num_breakpoints
+        prev = -1
+        for s in sig:
+            if not 0 <= s <= top:
+                raise ValueError(f"slot {s} out of range for {num_breakpoints} breakpoints")
+            if s < prev or (s == prev and s % 2 == 1):
+                raise ValueError(f"signature {sig} is not valid (order / repeated point)")
+            prev = s
+        return sig
+
+    def _space(self) -> tuple:
+        return (self.arity, self.breakpoints)
+
+    def _align(self, other):
+        if not isinstance(other, SchwartzFn):
+            return None
+        if self.arity != other.arity:
+            raise ValueError("arity mismatch")
+        common = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        return refine(self, common), refine(other, common)
 
     # -- constructors -------------------------------------------------------
 
@@ -209,9 +209,6 @@ class SchwartzFn:
 
     # -- basic structure -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def value_at_cell(self, sig: Signature) -> Fraction:
         return self.coeffs.get(tuple(sig), Fraction(0))
 
@@ -221,41 +218,10 @@ class SchwartzFn:
             raise ValueError("scalar_value requires arity 0")
         return self.coeffs.get((), Fraction(0))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchwartzFn):
-            return NotImplemented
-        if self.arity != other.arity:
-            return False
-        common = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return refine(self, common).coeffs == refine(other, common).coeffs
-
-    __hash__ = None  # semantic equality is coarser than the representation
-
-    def __add__(self, other: "SchwartzFn") -> "SchwartzFn":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        common = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        a, b = refine(self, common), refine(other, common)
-        coeffs = dict(a.coeffs)
-        for sig, c in b.coeffs.items():
-            coeffs[sig] = coeffs.get(sig, Fraction(0)) + c
-        return SchwartzFn(self.arity, common, coeffs)
-
-    def __neg__(self) -> "SchwartzFn":
-        return SchwartzFn(self.arity, self.breakpoints, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SchwartzFn") -> "SchwartzFn":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, SchwartzFn):
             return multiply(self, other)
-        return SchwartzFn(
-            self.arity, self.breakpoints, {s: c * Fraction(other) for s, c in self.coeffs.items()}
-        )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        return super().__mul__(other)
 
     def __repr__(self) -> str:
         return (
@@ -266,30 +232,20 @@ class SchwartzFn:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        cells = [
-            {"slots": list(sig), "coeff": frac_str(c)}
-            for sig, c in sorted(self.coeffs.items())
-        ]
         return {
             "n": self.arity,
             "breakpoints": [frac_str(b) for b in self.breakpoints],
-            "cells": cells,
+            "cells": [{"slots": list(sig), "coeff": frac_str(c)} for sig, c in self.terms()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "SchwartzFn":
         return cls(
-            int(data["n"]),
-            tuple(parse_frac(b) for b in data["breakpoints"]),
-            {tuple(c["slots"]): parse_frac(c["coeff"]) for c in data["cells"]},
+            json_field(data, "n", int),
+            json_field(data, "breakpoints", lambda bps: tuple(parse_frac(b) for b in bps)),
+            {json_field(c, "slots", tuple): json_field(c, "coeff", parse_frac)
+             for c in json_field(data, "cells", list)},
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "SchwartzFn":
-        return cls.from_json(json.loads(text))
 
 
 def point_mass(a: Sequence[Fraction]) -> SchwartzFn:
@@ -354,17 +310,14 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
 
 def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
     """Pointwise product, computed cellwise over the common refinement."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch")
-    common = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-    a, b = refine(f, common), refine(g, common)
+    a, b = f._align(g)
     small, large = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
     coeffs = {}
     for sig, c in small.coeffs.items():
         d = large.coeffs.get(sig)
         if d is not None:
             coeffs[sig] = c * d
-    return SchwartzFn(f.arity, common, coeffs)
+    return a._new(coeffs)
 
 
 def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:

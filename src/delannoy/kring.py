@@ -26,34 +26,40 @@ that must be integral raise `InvariantError` if they are not.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .euler import frac_str, parse_frac
+from .linear import Combination, frac_str, json_field, parse_frac
 from .paths import check_weight
 
-_WORD_KEY = lambda w: (len(w), w)  # noqa: E731 - canonical basis order
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
 _MIXED = ("b", "w", "")  # the words of b + w + 1: what a b/w collision emits
 
 
-class KClass:
-    """A finitely supported rational combination of weight words."""
+class KClass(Combination):
+    """A finitely supported rational combination of weight words.
 
-    __slots__ = ("coeffs",)
+    A rational scalar in `+`, `-` or `==` stands for that multiple of the unit.
+    """
 
-    def __init__(self, coeffs: dict[str, Fraction] | None = None):
-        clean: dict[str, Fraction] = {}
-        for w, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[check_weight(w)] = c
-        self.coeffs = clean
+    __slots__ = ()
+
+    def _check_key(self, w: str) -> str:
+        return check_weight(w)
+
+    @staticmethod
+    def _sort_key(w: str):
+        return (len(w), w)
+
+    def _align(self, other):
+        if isinstance(other, Rational):
+            other = KClass({"": other})
+        return super()._align(other)
 
     @classmethod
     def unit(cls) -> "KClass":
@@ -63,48 +69,14 @@ class KClass:
     def word(cls, w: str) -> "KClass":
         return cls({w: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self):
         """Filtration degree: longest word in the support (-inf for zero)."""
         return max((len(w) for w in self.coeffs), default=float("-inf"))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.coeffs == ({"": Fraction(other)} if other else {})
-        if not isinstance(other, KClass):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other):
-        other = _promote(other)
-        coeffs = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            coeffs[w] = coeffs.get(w, Fraction(0)) + c
-        return KClass(coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KClass({w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_promote(other))
-
-    def __rsub__(self, other):
-        return _promote(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, KClass):
             return tensor_mul(self, other)
-        s = Fraction(other)
-        return KClass({w: c * s for w, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        return super().__mul__(other)
 
     def concat(self, other: "KClass") -> "KClass":
         return concat_mul(self, other)
@@ -113,74 +85,37 @@ class KClass:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __repr__(self) -> str:
-        bits = [
-            f"{c}*{w or '1'}" if c != 1 or not w else w
-            for w, c in sorted(self.coeffs.items(), key=lambda kv: _WORD_KEY(kv[0]))
-        ]
+        bits = [f"{c}*{w or '1'}" if c != 1 or not w else w for w, c in self.terms()]
         return " + ".join(bits) or "0"
 
     def to_json(self) -> dict:
-        terms = [
-            {"word": w, "coeff": frac_str(c)}
-            for w, c in sorted(self.coeffs.items(), key=lambda kv: _WORD_KEY(kv[0]))
-        ]
-        return {"terms": terms}
+        return {"terms": [{"word": w, "coeff": frac_str(c)} for w, c in self.terms()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "KClass":
-        return cls({t["word"]: parse_frac(t["coeff"]) for t in data["terms"]})
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "KClass":
-        return cls.from_json(json.loads(text))
+        return cls({json_field(t, "word"): json_field(t, "coeff", parse_frac)
+                    for t in json_field(data, "terms", list)})
 
 
-def _promote(x) -> KClass:
-    if isinstance(x, KClass):
-        return x
-    return KClass({"": Fraction(x)})
-
-
-class KTensorClass:
+class KTensorClass(Combination):
     """A finitely supported rational combination of pairs of weight words."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[tuple[str, str], Fraction] | None = None):
-        clean: dict[tuple[str, str], Fraction] = {}
-        for (u, v), c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[(check_weight(u), check_weight(v))] = c
-        self.coeffs = clean
+    def _check_key(self, key: tuple[str, str]) -> tuple[str, str]:
+        u, v = key
+        return (check_weight(u), check_weight(v))
+
+    @staticmethod
+    def _sort_key(key: tuple[str, str]):
+        u, v = key
+        return (len(u), u, len(v), v)
 
     @classmethod
     def pure(cls, x: KClass, y: KClass) -> "KTensorClass":
         return cls(
             {(u, v): cx * cy for u, cx in x.coeffs.items() for v, cy in y.coeffs.items()}
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KTensorClass):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "KTensorClass") -> "KTensorClass":
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        return KTensorClass(coeffs)
-
-    def __neg__(self) -> "KTensorClass":
-        return KTensorClass({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "KTensorClass") -> "KTensorClass":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, KTensorClass):
@@ -194,33 +129,22 @@ class KTensorClass:
                             key = (lu, rv)
                             out[key] = out.get(key, 0) + scale * cl * cr
             return KTensorClass(out)
-        s = Fraction(other)
-        return KTensorClass({k: c * s for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+        return super().__mul__(other)
 
     def __repr__(self) -> str:
-        bits = [
-            f"{c}*({u or '1'}(x){v or '1'})"
-            for (u, v), c in sorted(
-                self.coeffs.items(), key=lambda kv: (_WORD_KEY(kv[0][0]), _WORD_KEY(kv[0][1]))
-            )
-        ]
+        bits = [f"{c}*({u or '1'}(x){v or '1'})" for (u, v), c in self.terms()]
         return " + ".join(bits) or "0"
 
     def to_json(self) -> dict:
-        terms = [
-            {"left": u, "right": v, "coeff": frac_str(c)}
-            for (u, v), c in sorted(
-                self.coeffs.items(),
-                key=lambda kv: (_WORD_KEY(kv[0][0]), _WORD_KEY(kv[0][1])),
-            )
-        ]
-        return {"terms": terms}
+        return {"terms": [{"left": u, "right": v, "coeff": frac_str(c)}
+                          for (u, v), c in self.terms()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "KTensorClass":
-        return cls({(t["left"], t["right"]): parse_frac(t["coeff"]) for t in data["terms"]})
+        return cls({
+            (json_field(t, "left"), json_field(t, "right")): json_field(t, "coeff", parse_frac)
+            for t in json_field(data, "terms", list)
+        })
 
 
 def concat_mul(x: KClass, y: KClass) -> KClass:

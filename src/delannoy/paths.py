@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InvariantError
+from .linear import json_field
 
 Step = tuple[int, ...]
 
@@ -64,7 +65,10 @@ class Path:
 
     @classmethod
     def from_json(cls, data: dict) -> "Path":
-        return cls(int(data["d"]), tuple(tuple(int(c) for c in s) for s in data["steps"]))
+        return cls(
+            json_field(data, "d", int),
+            json_field(data, "steps", lambda ss: tuple(tuple(int(c) for c in s) for s in ss)),
+        )
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
@@ -247,7 +251,7 @@ WEIGHT_LETTERS = ("b", "w")
 
 def check_weight(word: str) -> str:
     """Validate a weight word; returns it unchanged."""
-    if not all(c in WEIGHT_LETTERS for c in word):
+    if not isinstance(word, str) or word.strip("bw"):
         raise ValueError(f"invalid weight {word!r}: letters must be 'b' or 'w'")
     return word
 

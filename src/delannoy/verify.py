@@ -19,6 +19,7 @@ from . import category, euler, kring
 from .category import Morphism
 from .euler import HalfOpenInterval, SchwartzFn
 from .kring import KClass, KTensorClass
+from .linalg import matrix_rank
 from .paths import Path, all_weights, delannoy_number, enumerate_paths, weights_up_to
 
 F = Fraction
@@ -337,7 +338,6 @@ def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
         for key, c in img.coeffs.items():
             row[index[key]] = c
         rows.append(row)
-    from .linalg import matrix_rank
 
     kernel_dim = len(basis_words) - matrix_rank([list(col) for col in zip(*rows)])
     report.add(

@@ -149,8 +149,42 @@ def test_unknown_flag_is_rejected():
 
 
 def test_bad_word_is_reported(capsys):
-    code = main(["projector", "--word", "bx"])
-    assert code == 2
+    for bad in ("bx", "xb", "bxw"):
+        assert main(["projector", "--word", bad]) == 2
+        assert main(["ring", "mul", "--x", "b", "--y", bad]) == 2
+        assert f"invalid weight {bad!r}" in capsys.readouterr().err
+
+
+NULL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":null}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("trace", "--morphism", "[1]"), "n"),
+        (("trace", "--morphism", "5"), "n"),
+        (("trace", "--morphism", "{}"), "n"),
+        (("trace", "--morphism", '{"d":2}'), "n"),
+        (("trace", "--morphism", NULL_COEFF), "coeff"),
+        (("compose", "--p1", "[[1,1]]", "--p2", "[1]"), "steps"),
+        (("compose", "--p1", "[[1,1]]", "--p2", "5"), "d"),
+        (("compose", "--p1", "{}", "--p2", "[[1,1]]"), "d"),
+        (("compose", "--p1", '{"d":2}', "--p2", "[[1,1]]"), "steps"),
+    ],
+    ids=["trace-list", "trace-number", "trace-empty", "trace-path", "trace-null-coeff",
+         "compose-bad-steps", "compose-number", "compose-empty", "compose-no-steps"],
+)
+def test_malformed_json_is_a_usage_error(argv, name):
+    # run as its own process, so that the exit code and stderr are the ones a shell sees
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delannoy.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert f"field {name!r}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bad_partition(capsys):

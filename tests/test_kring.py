@@ -594,6 +594,19 @@ class TestSerialization:
         t = restrict(word("bw"))
         assert KTensorClass.from_json(t.to_json()) == t
 
+    def test_ktensor_json_shape(self):
+        t = KTensorClass({("b", ""): F(1, 2), ("", "bw"): F(-1), ("", "w"): F(3)})
+        assert t.to_json() == {
+            "terms": [
+                {"left": "", "right": "w", "coeff": "3/1"},
+                {"left": "", "right": "bw", "coeff": "-1/1"},
+                {"left": "b", "right": "", "coeff": "1/2"},
+            ]
+        }
+
     def test_rejects_bad_words(self):
-        with pytest.raises(ValueError):
-            KClass({"bx": F(1)})
+        for bad in ("bx", "xb", "bxw", "x", 5, None):
+            with pytest.raises(ValueError):
+                KClass({bad: F(1)})
+            with pytest.raises(ValueError):
+                KTensorClass({("b", bad): F(1)})
