@@ -47,23 +47,17 @@ from .euler import (
     key_indicator,
     pair,
 )
-from .linear import Combination, frac_str, json_field, parse_frac
+from .linear import Combination, exact, frac_str, json_field, json_int, parse_frac
 from .paths import (
     Path,
     Step,
+    _trusted_path,
     canonical_representative,
     check_weight,
     enumerate_paths,
     lift3,
+    lifts,
 )
-
-_STEPS3 = [
-    (s1, s2, s3)
-    for s1 in (0, 1)
-    for s2 in (0, 1)
-    for s3 in (0, 1)
-    if s1 or s2 or s3
-]
 
 
 def epsilon(p1: Path, p2: Path, p3: Path) -> int:
@@ -78,45 +72,21 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
 def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
     """Row of structure constants for a pair of basis paths.
 
-    Enumerates the 3-dimensional paths lifting (p1, p2) directly; each lift q
-    contributes (-1)^(len(q)+len(p13)) to its own projection p13, and distinct
-    lifts must land on distinct projections (the uniqueness property, checked
-    here and tested at scale through lift3).
+    Each 3-dimensional path q lifting (p1, p2) contributes
+    (-1)^(len(q)+len(p13)) to its own projection p13, and distinct lifts must
+    land on distinct projections (the uniqueness property, checked here and
+    tested at scale through lift3).
     """
     n, m1 = p1.target
     m2, l = p2.target
     if m1 != m2:
         raise ValueError(f"inner targets differ: {p1.target} vs {p2.target}")
-    s1s, s2s = p1.steps, p2.steps
-    n1, n2 = len(s1s), len(s2s)
-    row: dict[Path, int] = {}
-    prefix: list[Step] = []
-
-    def search(i1: int, i2: int) -> None:
-        if i1 == n1 and i2 == n2:
-            proj = tuple((a, c) for a, _, c in prefix if a or c)
-            p3 = Path(2, proj)
-            if p3 in row:
-                raise InvariantError(f"two lifts of {p1}, {p2} project to {p3}")
-            row[p3] = -1 if (len(prefix) + len(proj)) % 2 else 1
-            return
-        for s in _STEPS3:
-            a, b, c = s
-            j1, j2 = i1, i2
-            if a or b:
-                if j1 >= n1 or s1s[j1] != (a, b):
-                    continue
-                j1 += 1
-            if b or c:
-                if j2 >= n2 or s2s[j2] != (b, c):
-                    continue
-                j2 += 1
-            prefix.append(s)
-            search(j1, j2)
-            prefix.pop()
-
-    search(0, 0)
-    return tuple(sorted(row.items(), key=lambda kv: kv[0].steps))
+    row: dict[tuple[Step, ...], int] = {}
+    for q, proj in lifts(p1, p2):
+        if proj in row:
+            raise InvariantError(f"two lifts of {p1}, {p2} project to {Path(2, proj)}")
+        row[proj] = -1 if (len(q) + len(proj)) % 2 else 1
+    return tuple((_trusted_path(2, proj), sign) for proj, sign in sorted(row.items()))
 
 
 class Morphism(Combination):
@@ -163,8 +133,8 @@ class Morphism(Combination):
     @classmethod
     def from_json(cls, data: dict) -> "Morphism":
         return cls(
-            json_field(data, "n", int),
-            json_field(data, "m", int),
+            json_field(data, "n", json_int),
+            json_field(data, "m", json_int),
             {json_field(t, "path", Path.from_json): json_field(t, "coeff", parse_frac)
              for t in json_field(data, "terms", list)},
         )
@@ -176,12 +146,14 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ValueError(
             f"cannot compose {f.out_arity}<-{f.in_arity} with {g.out_arity}<-{g.in_arity}"
         )
-    coeffs: dict[Path, Fraction] = {}
+    right = [(p2, exact(c2)) for p2, c2 in g.coeffs.items()]
+    coeffs: dict[Path, int | Fraction] = {}
     for p1, c1 in f.coeffs.items():
-        for p2, c2 in g.coeffs.items():
+        c1 = exact(c1)
+        for p2, c2 in right:
             c = c1 * c2
             for p3, sign in _compose_basis(p1, p2):
-                coeffs[p3] = coeffs.get(p3, Fraction(0)) + sign * c
+                coeffs[p3] = coeffs.get(p3, 0) + sign * c
     return Morphism(f.out_arity, g.in_arity, coeffs)
 
 

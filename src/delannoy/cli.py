@@ -22,6 +22,11 @@ from .paths import Path, check_weight, delannoy_number, enumerate_paths, weights
 
 FORMATS = ("json", "csv", "pretty")
 
+# The most paths `delannoy paths` lists.  D(n, m) grows about sixfold with each
+# step of n = m: listing D(7, 7) = 48 639 paths takes seconds and about 120 MiB,
+# D(8, 8) = 265 729 about 600 MiB, and D(20, 20) is about 2.6e14.
+PATHS_LIMIT = 100_000
+
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
@@ -75,6 +80,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    if min(args.n, args.m) >= 0:  # enumerate_paths reports a negative target
+        count = delannoy_number(args.n, args.m)
+        if count > PATHS_LIMIT:
+            raise ValueError(
+                f"there are {count} paths to ({args.n}, {args.m}), more than the "
+                f"{PATHS_LIMIT} that 'paths' lists; 'count' gives the number alone"
+            )
     paths = enumerate_paths((args.n, args.m))
     payload = {
         "target": [args.n, args.m],

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .linear import Combination, frac_str, json_field, parse_frac
+from .linear import Combination, frac_str, json_field, json_int, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
@@ -241,9 +241,10 @@ class SchwartzFn(Combination):
     @classmethod
     def from_json(cls, data: dict) -> "SchwartzFn":
         return cls(
-            json_field(data, "n", int),
+            json_field(data, "n", json_int),
             json_field(data, "breakpoints", lambda bps: tuple(parse_frac(b) for b in bps)),
-            {json_field(c, "slots", tuple): json_field(c, "coeff", parse_frac)
+            {json_field(c, "slots", lambda s: tuple(map(json_int, s))):
+             json_field(c, "coeff", parse_frac)
              for c in json_field(data, "cells", list)},
         )
 

@@ -34,7 +34,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .linear import Combination, frac_str, json_field, parse_frac
+from .linear import Combination, exact, frac_str, json_field, parse_frac
 from .paths import check_weight
 
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
@@ -122,7 +122,7 @@ class KTensorClass(Combination):
             out: dict[tuple[str, str], int | Fraction] = {}
             for (u1, v1), c1 in self.coeffs.items():
                 for (u2, v2), c2 in other.coeffs.items():
-                    scale = _exact(c1 * c2)
+                    scale = exact(c1 * c2)
                     right = _tensor_basis(v1, v2)
                     for lu, cl in _tensor_basis(u1, u2):
                         for rv, cr in right:
@@ -189,17 +189,12 @@ def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
     return tuple(below[0].items())
 
 
-def _exact(c: Fraction) -> int | Fraction:
-    """An integral coefficient as an int, so that products stay in int arithmetic."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def tensor_mul(x: KClass, y: KClass) -> KClass:
     """The standard (tensor) product, extended bilinearly from basis words."""
-    ys = [(v, _exact(cv)) for v, cv in y.coeffs.items()]
+    ys = [(v, exact(cv)) for v, cv in y.coeffs.items()]
     coeffs: dict[str, int | Fraction] = {}
     for u, cu in x.coeffs.items():
-        cu = _exact(cu)
+        cu = exact(cu)
         for v, cv in ys:
             scale = cu * cv
             for w, c in _tensor_basis(u, v):
@@ -263,7 +258,7 @@ def antipode(x: KClass) -> KClass:
     """The antipode, computed by its defining recursion on word length."""
     out: dict[str, int | Fraction] = {}
     for w, c in x.coeffs.items():
-        c = _exact(c)
+        c = exact(c)
         for v, d in _antipode_word(w):
             out[v] = out.get(v, 0) + c * d
     return KClass(out)

@@ -18,8 +18,31 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def parse_frac(value) -> Fraction:
+    """An exact rational read from JSON: an integer, or a string such as "-3/2".
+
+    A float or a bool is refused: a float holds a binary approximation (0.1
+    would become 3602879701896397/36028797018963968), and JSON's true and
+    false are no numbers.
+    """
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(f"expected an integer or a fraction string, got {value!r}")
+
+
+def json_int(value) -> int:
+    """An integer read from JSON; a float or a bool is refused."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def exact(c: Fraction) -> int | Fraction:
+    """An integral coefficient as an int, so that products stay in int arithmetic."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def json_field(data, name: str, convert: Optional[Callable] = None):

@@ -15,14 +15,16 @@ All values here are immutable and hashable; every function is pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import InvariantError
-from .linear import json_field
+from .linear import json_field, json_int
 
 Step = tuple[int, ...]
 
@@ -52,7 +54,7 @@ class Path:
 
     @property
     def target(self) -> tuple[int, ...]:
-        return tuple(sum(s[i] for s in self.steps) for i in range(self.dim))
+        return tuple(map(sum, zip(*self.steps))) if self.steps else (0,) * self.dim
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -66,8 +68,8 @@ class Path:
     @classmethod
     def from_json(cls, data: dict) -> "Path":
         return cls(
-            json_field(data, "d", int),
-            json_field(data, "steps", lambda ss: tuple(tuple(int(c) for c in s) for s in ss)),
+            json_field(data, "d", json_int),
+            json_field(data, "steps", lambda ss: tuple(tuple(map(json_int, s)) for s in ss)),
         )
 
     def dumps(self) -> str:
@@ -76,6 +78,20 @@ class Path:
     @classmethod
     def loads(cls, text: str) -> "Path":
         return cls.from_json(json.loads(text))
+
+
+def _trusted_path(dim: int, steps: tuple[Step, ...]) -> Path:
+    """A Path built without validation, for the engine's own hot loops.
+
+    Only for steps taken from a valid step table: the nonzero 0-1 steps of
+    `_nonzero_steps(dim)`, the nonzero 3-bit steps of a lift found by
+    `lifts`, or their nonzero (a, c) projections.  The result equals, hashes
+    and orders like `Path(dim, steps)`.
+    """
+    p = object.__new__(Path)
+    object.__setattr__(p, "dim", dim)
+    object.__setattr__(p, "steps", steps)
+    return p
 
 
 def _nonzero_steps(dim: int) -> list[Step]:
@@ -99,18 +115,24 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
         raise ValueError("target entries must be non-negative")
     dim = len(target)
     steps = _nonzero_steps(dim)
+    # The steps that fit, keyed by which axes still have steps left; none fit
+    # once the target is reached.
+    fitting = {
+        left: [s for s in steps if all(l or not c for c, l in zip(s, left))]
+        for left in itertools.product((False, True), repeat=dim)
+    }
     out: list[Path] = []
     prefix: list[Step] = []
 
     def gen(remaining: tuple[int, ...]) -> None:
-        if not any(remaining):
-            out.append(Path(dim, tuple(prefix)))
+        fits = fitting[tuple(map(bool, remaining))]
+        if not fits:
+            out.append(_trusted_path(dim, tuple(prefix)))
             return
-        for s in steps:
-            if all(s[i] <= remaining[i] for i in range(dim)):
-                prefix.append(s)
-                gen(tuple(remaining[i] - s[i] for i in range(dim)))
-                prefix.pop()
+        for s in fits:
+            prefix.append(s)
+            gen(tuple(map(sub, remaining, s)))
+            prefix.pop()
 
     gen(target)
     return tuple(out)
@@ -145,55 +167,56 @@ def project_path(p: Path, axes: Sequence[int]) -> Path:
     return Path(len(axes), tuple(steps))
 
 
-# The seven nonzero 3-bit steps, used by the lift search.
-_STEPS3 = _nonzero_steps(3)
+def lifts(p12: Path, p23: Path) -> list[tuple[tuple[Step, ...], tuple[Step, ...]]]:
+    """Every 3-dimensional path q with projections p12 on axes (1, 2) and p23
+    on axes (2, 3), as pairs (steps of q, steps of its projection p13).
 
-
-def _all_lift3(p12: Path, p23: Path, p13: Path) -> list[Path]:
-    """Backtracking search for all 3-dimensional paths with the given projections.
-
-    A candidate step (s1, s2, s3) must, for each of the three coordinate pairs,
-    either project to zero or match the head of the corresponding 2-dimensional
-    path.  Every nonzero step consumes at least one head, so the search
-    terminates.
+    From the heads h12, h23 of what is left of p12 and p23, only three steps
+    are possible: (0, 0, 1) if h23 = (0, 1), (1, 0, 0) if h12 = (1, 0), and
+    (h12[0], h12[1], h23[1]) if h12[1] = h23[0]; the last consumes both heads.
+    Each is one of the seven nonzero 3-bit steps.  When p12 and p23 have the
+    same extent on axis 2, at least one of them applies until both paths are
+    used up, so every branch of the search ends in a lift.  The search keeps
+    its own stack, so long paths do not run into the recursion limit.
     """
-    s12, s23, s13 = p12.steps, p23.steps, p13.steps
-    n12, n23, n13 = len(s12), len(s23), len(s13)
-    solutions: list[Path] = []
-    prefix: list[Step] = []
-
-    def search(i12: int, i23: int, i13: int) -> None:
-        if i12 == n12 and i23 == n23 and i13 == n13:
-            solutions.append(Path(3, tuple(prefix)))
-            return
-        for s1, s2, s3 in _STEPS3:
-            j12, j23, j13 = i12, i23, i13
-            if s1 or s2:
-                if j12 >= n12 or s12[j12] != (s1, s2):
-                    continue
-                j12 += 1
-            if s2 or s3:
-                if j23 >= n23 or s23[j23] != (s2, s3):
-                    continue
-                j23 += 1
-            if s1 or s3:
-                if j13 >= n13 or s13[j13] != (s1, s3):
-                    continue
-                j13 += 1
-            prefix.append((s1, s2, s3))
-            search(j12, j23, j13)
-            prefix.pop()
-
-    search(0, 0, 0)
-    return solutions
+    if p12.dim != 2 or p23.dim != 2:
+        raise ValueError("lifts expects 2-dimensional paths")
+    s12, s23 = p12.steps, p23.steps
+    n12, n23 = len(s12), len(s23)
+    found = []
+    lift: list[Step] = []
+    proj: list[Step] = []
+    # (i12, i23, length of lift, length of proj) before the step; the step; its projection.
+    todo: list = [(0, 0, 0, 0, None, None)]
+    while todo:
+        i12, i23, k, j, step, pstep = todo.pop()
+        del lift[k:], proj[j:]
+        if step is not None:
+            lift.append(step)
+            if pstep is not None:
+                proj.append(pstep)
+        h12 = s12[i12] if i12 < n12 else None
+        h23 = s23[i23] if i23 < n23 else None
+        if h12 is None and h23 is None:
+            found.append((tuple(lift), tuple(proj)))
+            continue
+        k, j = len(lift), len(proj)
+        if h23 == (0, 1):
+            todo.append((i12, i23 + 1, k, j, (0, 0, 1), (0, 1)))
+        if h12 == (1, 0):
+            todo.append((i12 + 1, i23, k, j, (1, 0, 0), (1, 0)))
+        if h12 is not None and h23 is not None and h12[1] == h23[0]:
+            a, c = h12[0], h23[1]
+            todo.append((i12 + 1, i23 + 1, k, j, (a, h12[1], c), (a, c) if a or c else None))
+    return found
 
 
 def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
     """The unique 3-dimensional path projecting to (p12, p23, p13), or None.
 
-    Collects all solutions of the backtracking search and raises
-    InvariantError if there is more than one; uniqueness always holds, but
-    it is checked rather than assumed.
+    Picks, among the lifts of (p12, p23), the ones that project to p13, and
+    raises InvariantError if there is more than one; uniqueness always
+    holds, but it is checked rather than assumed.
     """
     if p12.dim != 2 or p23.dim != 2 or p13.dim != 2:
         raise ValueError("lift3 expects 2-dimensional paths")
@@ -204,10 +227,10 @@ def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
         raise ValueError(
             f"inconsistent targets {p12.target}, {p23.target}, {p13.target}"
         )
-    solutions = _all_lift3(p12, p23, p13)
+    solutions = [q for q, proj in lifts(p12, p23) if proj == p13.steps]
     if len(solutions) > 1:
         raise InvariantError(f"{len(solutions)} lifts of {p12}, {p23}, {p13}")
-    return solutions[0] if solutions else None
+    return _trusted_path(3, solutions[0]) if solutions else None
 
 
 def encode_orbit(x: Sequence[Fraction], y: Sequence[Fraction]) -> Path:

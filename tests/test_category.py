@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delannoy import category as category_module
 from delannoy.category import (
     Morphism,
     _compose_basis,
@@ -25,7 +28,8 @@ from delannoy.euler import (
     key_indicator,
     point_mass,
 )
-from delannoy.paths import Path, all_weights, enumerate_paths, lift3
+from delannoy.errors import InvariantError
+from delannoy.paths import Path, all_weights, enumerate_paths, lift3, lifts
 
 F = Fraction
 
@@ -94,6 +98,53 @@ class TestComposition:
     def test_epsilon_vanishes_without_lift(self):
         assert lift3(A, A, DIAG) is None
         assert epsilon(A, A, DIAG) == 0
+
+    def test_long_paths_compose(self):
+        # the lift search keeps its own stack: no recursion limit on path length
+        diag = Path(2, ((1, 1),) * 1200)
+        assert basis(diag) @ basis(diag) == basis(diag)
+
+    def test_two_lifts_with_one_projection_raise(self, monkeypatch):
+        # uniqueness is checked, not assumed: a search that reports a lift twice is caught
+        monkeypatch.setattr(category_module, "lifts", lambda p1, p2: lifts(p1, p2) * 2)
+        with pytest.raises(InvariantError):
+            _compose_basis.__wrapped__(A, B)
+
+
+@st.composite
+def path_to(draw, n, m):
+    """A random basis path with target (n, m), built step by step and checked."""
+    steps = []
+    while n or m:
+        s = draw(st.sampled_from([s for s in ((1, 0), (0, 1), (1, 1)) if s[0] <= n and s[1] <= m]))
+        steps.append(s)
+        n, m = n - s[0], m - s[1]
+    return Path(2, tuple(steps))
+
+
+@st.composite
+def composable(draw, count, max_arity=4):
+    """`count` basis paths p_1, ..., p_count with each p_i o p_(i+1) defined."""
+    arities = draw(st.lists(st.integers(0, max_arity), min_size=count + 1, max_size=count + 1))
+    return [draw(path_to(a, b)) for a, b in zip(arities, arities[1:])]
+
+
+class TestCompositionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(composable(2))
+    def test_row_matches_oracle(self, pair):
+        p1, p2 = pair
+        row = Morphism(p1.target[0], p2.target[1], dict(_compose_basis(p1, p2)))
+        assert row == compose_oracle(p1, p2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(composable(3))
+    def test_associative_with_identities(self, triple):
+        f, g, h = (basis(p) for p in triple)
+        assert (f @ g) @ h == f @ (g @ h)
+        for x in (f, g, h):
+            assert identity(x.out_arity) @ x == x
+            assert x @ identity(x.in_arity) == x
 
 
 class TestOracle:

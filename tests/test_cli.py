@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import delannoy
+from delannoy import cli
 from delannoy.cli import main
 
 
@@ -155,7 +156,27 @@ def test_bad_word_is_reported(capsys):
         assert f"invalid weight {bad!r}" in capsys.readouterr().err
 
 
+def test_paths_budget(capsys):
+    limit = cli.PATHS_LIMIT
+    # D(20, 20) is about 2.6e14: refused before anything is enumerated
+    assert main(["paths", "--n", "20", "--m", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "260543813797441" in err and str(limit) in err
+
+
+def test_paths_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PATHS_LIMIT", 13)
+    code, out = run_cli(capsys, "paths", "--n", "2", "--m", "2", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 14
+    assert main(["paths", "--n", "3", "--m", "2"]) == 2
+    assert "there are 25 paths to (3, 2)" in capsys.readouterr().err
+
+
 NULL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":null}]}'
+FLOAT_N = '{"n":2.9,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":"1"}]}'
+FLOAT_COEFF = '{"n":2,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":0.1}]}'
+BOOL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":true}]}'
+ZERO_DENOMINATOR = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":"1/0"}]}'
 
 
 @pytest.mark.parametrize(
@@ -170,9 +191,18 @@ NULL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":null
         (("compose", "--p1", "[[1,1]]", "--p2", "5"), "d"),
         (("compose", "--p1", "{}", "--p2", "[[1,1]]"), "d"),
         (("compose", "--p1", '{"d":2}', "--p2", "[[1,1]]"), "steps"),
+        (("trace", "--morphism", FLOAT_N), "n"),
+        (("trace", "--morphism", FLOAT_COEFF), "coeff"),
+        (("trace", "--morphism", BOOL_COEFF), "coeff"),
+        (("trace", "--morphism", ZERO_DENOMINATOR), "coeff"),
+        (("compose", "--p1", "[[1,1]]", "--p2", "[[true,1]]"), "steps"),
+        (("compose", "--p1", "[[1,1]]", "--p2", "[[1.0,1]]"), "steps"),
+        (("compose", "--p1", '{"d":2.5,"steps":[[1,1]]}', "--p2", "[[1,1]]"), "d"),
     ],
     ids=["trace-list", "trace-number", "trace-empty", "trace-path", "trace-null-coeff",
-         "compose-bad-steps", "compose-number", "compose-empty", "compose-no-steps"],
+         "compose-bad-steps", "compose-number", "compose-empty", "compose-no-steps",
+         "trace-float-n", "trace-float-coeff", "trace-bool-coeff", "trace-zero-denominator",
+         "compose-bool-step", "compose-float-step", "compose-float-d"],
 )
 def test_malformed_json_is_a_usage_error(argv, name):
     # run as its own process, so that the exit code and stderr are the ones a shell sees

@@ -65,3 +65,35 @@ def test_space_mismatch(x, y):
     with pytest.raises(ValueError):
         x - y
     assert x != y
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_coefficients_are_exact(name):
+    make, keys, _ = CASES[name]
+    x = make({keys[0]: F(3, 2)})
+    data = x.to_json()
+    term = (data.get("terms") or data["cells"])[0]
+    for bad in (1.5, 0.1, True, None):
+        term["coeff"] = bad
+        with pytest.raises(ValueError, match="'coeff'"):
+            type(x).from_json(data)
+    term["coeff"] = 3
+    assert type(x).from_json(data) == make({keys[0]: 3})
+
+
+@pytest.mark.parametrize(
+    "read, data, field",
+    [
+        (Path.from_json, {"d": 2.0, "steps": [[1, 1]]}, "d"),
+        (Path.from_json, {"d": 2, "steps": [[1, True]]}, "steps"),
+        (Morphism.from_json, {"n": True, "m": 1, "terms": []}, "n"),
+        (Morphism.from_json, {"n": 1, "m": 1.0, "terms": []}, "m"),
+        (SchwartzFn.from_json, {"n": 1.0, "breakpoints": [], "cells": []}, "n"),
+        (SchwartzFn.from_json, {"n": 1, "breakpoints": [0.5], "cells": []}, "breakpoints"),
+        (SchwartzFn.from_json,
+         {"n": 1, "breakpoints": [], "cells": [{"slots": [0.0], "coeff": "1"}]}, "slots"),
+    ],
+)
+def test_json_integers_are_exact(read, data, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        read(data)

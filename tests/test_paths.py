@@ -4,7 +4,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delannoy import paths as paths_module
+from delannoy.category import _compose_basis
+from delannoy.errors import InvariantError
 from delannoy.paths import (
     Path,
     all_weights,
@@ -13,6 +18,7 @@ from delannoy.paths import (
     encode_orbit,
     enumerate_paths,
     lift3,
+    lifts,
     project_path,
 )
 
@@ -167,6 +173,26 @@ class TestLift3:
                             matches[0] if matches else None
                         )
 
+    def test_two_lifts_with_one_projection_raise(self, monkeypatch):
+        # uniqueness is checked, not assumed: a search that reports a lift twice is caught
+        monkeypatch.setattr(paths_module, "lifts", lambda p12, p23: lifts(p12, p23) * 2)
+        diag = Path(2, ((1, 1),))
+        with pytest.raises(InvariantError):
+            lift3(diag, diag, diag)
+
+    def test_lifts_are_the_brute_force_lifts(self):
+        # every 3-D path whose (1, 2) and (2, 3) projections are (p12, p23), once each
+        for n, m, l in itertools.product(range(3), repeat=3):
+            cube = enumerate_paths((n, m, l))
+            for p12 in enumerate_paths((n, m)):
+                for p23 in enumerate_paths((m, l)):
+                    want = sorted(
+                        (q.steps, project_path(q, (0, 2)).steps)
+                        for q in cube
+                        if project_path(q, (0, 1)) == p12 and project_path(q, (1, 2)) == p23
+                    )
+                    assert sorted(lifts(p12, p23)) == want
+
     def test_random_triples_consistency(self):
         rng = random.Random(7)
         for _ in range(500):
@@ -179,6 +205,42 @@ class TestLift3:
                 assert project_path(q, (0, 1)) == p12
                 assert project_path(q, (1, 2)) == p23
                 assert project_path(q, (0, 2)) == p13
+
+
+def assert_same_as_checked(trusted):
+    """Paths built without validation behave exactly like their checked rebuilds."""
+    checked = [Path(p.dim, p.steps) for p in trusted]
+    for p, q in zip(trusted, checked):
+        assert p == q and q == p and hash(p) == hash(q)
+        assert p <= q and q <= p and not p < q and not q < p
+        assert p.target == q.target
+    for (a, b), (c, d) in zip(zip(trusted, trusted[1:]), zip(checked, checked[1:])):
+        assert (a < b) == (c < d) and (b < a) == (d < c) and (a == b) == (c == d)
+
+
+class TestTrustedConstruction:
+    def test_empty_paths(self):
+        for dim in (0, 2, 3):
+            (p,) = enumerate_paths((0,) * dim)
+            assert p.target == (0,) * dim
+            assert_same_as_checked([p, Path(dim, ())])
+
+    @pytest.mark.parametrize("target", [(3,), (3, 3), (2, 0), (0, 2), (1, 2, 2), (2, 1, 0)])
+    def test_enumerated_paths(self, target):
+        got = enumerate_paths(target)
+        assert all(p.target == target for p in got)
+        assert_same_as_checked(list(got))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.integers(0, 3)] * 3), st.data())
+    def test_compose_rows_and_lifts(self, nml, data):
+        n, m, l = nml
+        p1 = data.draw(st.sampled_from(enumerate_paths((n, m))))
+        p2 = data.draw(st.sampled_from(enumerate_paths((m, l))))
+        row = [p3 for p3, _ in _compose_basis(p1, p2)]
+        assert all(p3.target == (n, l) for p3 in row)
+        assert_same_as_checked(row)
+        assert_same_as_checked([lift3(p1, p2, p3) for p3 in row])
 
 
 class TestOrbitCodec:
