@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import InvariantError
@@ -255,12 +256,13 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
     bp = phi.breakpoints
-    coeffs: dict[Signature, Fraction] = {}
+    kernel = [(p, exact(c)) for p, c in f.coeffs.items()]
+    coeffs: dict[Signature, int | Fraction] = {}
     for sig in iter_signatures(f.out_arity, len(bp)):
         x_out = cell_representative(bp, sig)
-        val = Fraction(0)
-        for p, c in f.coeffs.items():
-            val += c * pair(slice_kernel(p, x_out, axis=1), phi)
+        val = 0
+        for p, c in kernel:
+            val += c * exact(pair(slice_kernel(p, x_out, axis=1), phi))
         if val:
             coeffs[sig] = val
     return SchwartzFn(f.out_arity, bp, coeffs)
@@ -324,24 +326,18 @@ def multiplicity_rank(word: str, m: int) -> int:
     psi = key_indicator(word, a)
     basis = sorted(iter_signatures(m, n))
     index = {sig: i for i, sig in enumerate(basis)}
-    cols: list[list[Fraction]] = []
+    cols: list[list[int | Fraction]] = []
     for sig in basis:
         image = apply_kernel(invariant_extension(indicator_of_cell(m, a, sig)), psi)
-        col = [Fraction(0)] * len(basis)
+        col = [0] * len(basis)
         for out_sig, c in image.coeffs.items():
-            col[index[out_sig]] = c
+            col[index[out_sig]] = exact(c)
         cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    square = [
-        [
-            sum(matrix[i][k] * matrix[k][j] for k in range(len(basis)))
-            for j in range(len(basis))
-        ]
-        for i in range(len(basis))
-    ]
-    if square != matrix:
+    rows = [list(row) for row in zip(*cols)]
+    square = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    if square != rows:
         raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")
-    rank = sum((matrix[i][i] for i in range(len(basis))), Fraction(0))
+    rank = Fraction(sum(row[i] for i, row in enumerate(rows)))
     if rank.denominator != 1:
         raise InvariantError(f"idempotent for {word!r} at arity {m} has trace {rank}")
     return rank.numerator

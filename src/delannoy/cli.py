@@ -27,6 +27,13 @@ FORMATS = ("json", "csv", "pretty")
 # D(8, 8) = 265 729 about 600 MiB, and D(20, 20) is about 2.6e14.
 PATHS_LIMIT = 100_000
 
+# The most basis pairs `export --table composition` composes: D(n, m) * D(m, n)
+# pairs, every row held until the table is printed.  n = 3, m = 4 is 16 641
+# pairs (about 3 s of CPU and 80 MiB), n = 4, m = 3 as many pairs with longer
+# products (about 10 s and 240 MiB); n = m = 4 is 103 041 pairs (about 40 s
+# and 900 MiB).
+COMPOSITION_PAIRS_LIMIT = 20_000
+
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
@@ -266,6 +273,13 @@ def cmd_export(args) -> int:
         }
     else:
         m = args.m if args.m is not None else args.n
+        if min(args.n, m) >= 0:  # enumerate_paths reports a negative target
+            pairs = delannoy_number(args.n, m) * delannoy_number(m, args.n)
+            if pairs > COMPOSITION_PAIRS_LIMIT:
+                raise ValueError(
+                    f"the composition table for n = {args.n}, m = {m} has {pairs} basis "
+                    f"pairs, more than the {COMPOSITION_PAIRS_LIMIT} that 'export' composes"
+                )
         rows = []
         for p1 in enumerate_paths((args.n, m)):
             for p2 in enumerate_paths((m, args.n)):

@@ -15,8 +15,13 @@ j coordinates in gap slots is a product of points and open simplices and has
 Euler volume (-1)^j: points count 1, open intervals count -1.
 
 Everything is computed over exact rationals.  Functions are stored sparsely
-as cell -> coefficient maps; two functions are equal when they agree after
+as cell -> coefficient maps; two functions are equal, add and multiply after
 refining to a common breakpoint set.
+
+The pairing does not refine: pair(f, g) = sum of f_a * g_b * prod_i
+sign(a_i, b_i) over cells a of f and b of g, where the sign of two slots is
+0 if they do not meet, +1 if they meet in a point and -1 if they meet in an
+open interval.  It accumulates in int while the coefficients are integers.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .linear import Combination, frac_str, json_field, json_int, parse_frac
+from .linear import Combination, exact, frac_str, json_field, json_int, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
@@ -35,7 +40,8 @@ Scalar = Fraction
 
 
 def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    bp = tuple(Fraction(b) for b in breakpoints)
+    # a Fraction is immutable and kept as it is
+    bp = tuple(b if type(b) is Fraction else Fraction(b) for b in breakpoints)
     if any(not a < b for a, b in zip(bp, bp[1:])):
         raise ValueError(f"breakpoints {bp} are not strictly increasing")
     return bp
@@ -267,6 +273,41 @@ def integrate(f: SchwartzFn) -> Fraction:
     return sum((c * cell_volume(sig) for sig, c in f.coeffs.items()), Fraction(0))
 
 
+def _merge_points(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
+    """The point slots of p's and of q's breakpoints over the union of both,
+    and the union's top slot; a merge by comparison, hashing no breakpoint."""
+    slots_p: list[int] = []
+    slots_q: list[int] = []
+    i = j = 0
+    slot = 1
+    while i < len(p) and j < len(q):
+        a, b = p[i], q[j]
+        if not b < a:
+            slots_p.append(slot)
+            i += 1
+        if not a < b:
+            slots_q.append(slot)
+            j += 1
+        slot += 2
+    for rest, slots in ((len(p) - i, slots_p), (len(q) - j, slots_q)):
+        slots.extend(range(slot, slot + 2 * rest, 2))
+        slot += 2 * rest
+    return slots_p, slots_q, slot - 1
+
+
+def _slot_spans(points: list[int], top: int) -> list[tuple[int, int]]:
+    """For each slot over some breakpoints, the range [lo, hi] of slots over a
+    finer set that it covers, given the breakpoints' point slots over the
+    finer set and its top slot."""
+    spans = []
+    lo = 0
+    for p in points:
+        spans += [(lo, p - 1), (p, p)]
+        lo = p + 1
+    spans.append((lo, top))
+    return spans
+
+
 def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
     """Re-express f over a superset of its breakpoints.
 
@@ -277,21 +318,10 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
     fine = _check_breakpoints(finer)
     if fine == f.breakpoints:
         return f
-    old = f.breakpoints
-    if not set(old) <= set(fine):
+    points, _, top = _merge_points(f.breakpoints, fine)
+    if top != 2 * len(fine):
         raise ValueError("refinement must contain the original breakpoints")
-    pos = {b: i for i, b in enumerate(fine)}
-    m_old, m_new = len(old), len(fine)
-
-    expansion: dict[int, tuple[int, ...]] = {}
-    for k in range(m_old):
-        expansion[2 * k + 1] = (2 * pos[old[k]] + 1,)
-    for k in range(m_old + 1):
-        left = old[k - 1] if k > 0 else None
-        right = old[k] if k < m_old else None
-        start = 0 if left is None else 2 * pos[left] + 2
-        end = 2 * m_new if right is None else 2 * pos[right]
-        expansion[2 * k] = tuple(range(start, end + 1))
+    expansion = [tuple(range(lo, hi + 1)) for lo, hi in _slot_spans(points, top)]
 
     coeffs: dict[Signature, Fraction] = {}
     for sig, c in f.coeffs.items():
@@ -322,8 +352,41 @@ def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
 
 
 def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
-    """The bilinear pairing: integrate the pointwise product."""
-    return integrate(multiply(f, g))
+    """The bilinear pairing: the Euler integral of the pointwise product.
+
+    Coordinate i of the meet of a cell a of f and a cell b of g ranges over
+    the meet of the slots a_i and b_i.  Coordinates whose slot pairs differ
+    lie in disjoint intervals, already in order; coordinates sharing a slot
+    pair share one open interval.  So the meet of the cells is a product of
+    points and open simplices, with Euler characteristic prod_i sign(a_i, b_i)
+    (see the module docstring).  Over the union of the breakpoints a point
+    slot spans one odd slot and a gap slot a range with even ends, so the
+    meet of the two spans gives the sign.
+    """
+    if f.arity != g.arity:
+        raise ValueError("arity mismatch")
+    points_f, points_g, top = _merge_points(f.breakpoints, g.breakpoints)
+    spans_f = _slot_spans(points_f, top)
+    spans_g = _slot_spans(points_g, top)
+    right = [([spans_g[t] for t in b], exact(d)) for b, d in g.coeffs.items()]
+    total = 0
+    for a, c in f.coeffs.items():
+        left = [spans_f[s] for s in a]
+        c = exact(c)
+        for spans, d in right:
+            sign = 1
+            for (lo, hi), (lo2, hi2) in zip(left, spans):
+                if lo2 > lo:
+                    lo = lo2
+                if hi2 < hi:
+                    hi = hi2
+                if lo > hi:  # the slots do not meet
+                    break
+                if lo < hi or not lo % 2:  # an open interval
+                    sign = -sign
+            else:
+                total += sign * c * d
+    return Fraction(total)
 
 
 def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:

@@ -115,26 +115,33 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
         raise ValueError("target entries must be non-negative")
     dim = len(target)
     steps = _nonzero_steps(dim)
-    # The steps that fit, keyed by which axes still have steps left; none fit
-    # once the target is reached.
-    fitting = {
-        left: [s for s in steps if all(l or not c for c, l in zip(s, left))]
-        for left in itertools.product((False, True), repeat=dim)
+    # For every point below the target: the steps that fit, each with what is
+    # left after it; none fit at the zero point.
+    children = {
+        left: [(s, tuple(map(sub, left, s))) for s in steps
+               if all(c <= l for c, l in zip(s, left))]
+        for left in itertools.product(*(range(a + 1) for a in target))
     }
+    if not children[target]:
+        return (_trusted_path(dim, ()),)
+    # Depth first over the children in order, so paths come out sorted, on
+    # its own stack of child iterators, so long paths do not run into the
+    # recursion limit.
     out: list[Path] = []
     prefix: list[Step] = []
-
-    def gen(remaining: tuple[int, ...]) -> None:
-        fits = fitting[tuple(map(bool, remaining))]
-        if not fits:
-            out.append(_trusted_path(dim, tuple(prefix)))
-            return
-        for s in fits:
+    stack = [iter(children[target])]
+    while stack:
+        for s, left in stack[-1]:
             prefix.append(s)
-            gen(tuple(map(sub, remaining, s)))
+            if children[left]:
+                stack.append(iter(children[left]))
+                break
+            out.append(_trusted_path(dim, tuple(prefix)))
             prefix.pop()
-
-    gen(target)
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
     return tuple(out)
 
 

@@ -93,13 +93,13 @@ def suite_oracle_equivalence(report: VerificationReport, rng: random.Random) -> 
                     ok = False
     report.add(f"exhaustive at sizes <= 2 ({pairs} pairs)", ok)
     ok = True
-    for _ in range(200):
+    for _ in range(1000):
         n, m, l = (rng.randint(0, 3) for _ in range(3))
         p1 = rng.choice(enumerate_paths((n, m)))
         p2 = rng.choice(enumerate_paths((m, l)))
         if category.compose_oracle(p1, p2) != Morphism.basis(p1) @ Morphism.basis(p2):
             ok = False
-    report.add("200 random pairs at sizes <= 3", ok)
+    report.add("1000 random pairs at sizes <= 3", ok)
 
 
 def suite_category_axioms(report: VerificationReport, rng: random.Random) -> None:
@@ -188,6 +188,10 @@ def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None
             if category.multiplicity_rank(word, m) != comb(m, len(word)):
                 ok = False
     report.add("rank equals binom(m, len) for m <= 3", ok)
+    ok = all(
+        category.multiplicity_rank(word, 4) == comb(4, len(word)) for word in weights_up_to(2)
+    )
+    report.add("rank equals binom(4, len) for words of length <= 2", ok)
     ok = all(
         sum(category.multiplicity_rank(w, n) for w in weights_up_to(n)) == 3**n
         for n in range(4)

@@ -172,6 +172,43 @@ def test_paths_budget_boundary(capsys, monkeypatch):
     assert "there are 25 paths to (3, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, m", [(2000, 0), (0, 2000)])
+def test_paths_long_single_path(n, m):
+    # D(n, 0) = 1: one path of n steps, past the recursion limit; run as its
+    # own process so that the exit code is the one a shell sees
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delannoy.cli", "paths", "--n", str(n), "--m", str(m),
+         "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    out = json.loads(proc.stdout)
+    step = [1, 0] if n else [0, 1]
+    assert out["count"] == 1 and out["paths"] == [{"d": 2, "steps": [step] * (n + m)}]
+
+
+def test_composition_export_budget(capsys):
+    limit = cli.COMPOSITION_PAIRS_LIMIT
+    # n = 3, m = 4 (16 641 pairs) is allowed; D(4, 4)^2 = 103 041 pairs is
+    # refused before anything is composed
+    assert cli.delannoy_number(3, 4) ** 2 <= limit < cli.delannoy_number(4, 4) ** 2
+    assert main(["export", "--table", "composition", "--n", "4", "--m", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "103041" in err and str(limit) in err
+
+
+def test_composition_export_budget_boundary(capsys, monkeypatch):
+    # D(1, 2) * D(2, 1) = 25 pairs
+    monkeypatch.setattr(cli, "COMPOSITION_PAIRS_LIMIT", 25)
+    code, out = run_cli(capsys, "export", "--table", "composition", "--n", "1", "--m", "2",
+                        "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "left,right,result,coeff"
+    monkeypatch.setattr(cli, "COMPOSITION_PAIRS_LIMIT", 24)
+    assert main(["export", "--table", "composition", "--n", "1", "--m", "2"]) == 2
+    assert "has 25 basis pairs, more than the 24" in capsys.readouterr().err
+
+
 NULL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":null}]}'
 FLOAT_N = '{"n":2.9,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":"1"}]}'
 FLOAT_COEFF = '{"n":2,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":0.1}]}'

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delannoy.euler import (
     HalfOpenInterval,
@@ -132,6 +134,65 @@ class TestPairing:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             multiply(SchwartzFn.zero(1), SchwartzFn.zero(2))
+
+    def test_pair_arity_mismatch(self):
+        with pytest.raises(ValueError):
+            pair(SchwartzFn.zero(1), SchwartzFn.zero(2))
+        with pytest.raises(ValueError):
+            pair(point_mass((F(0),)), point_mass((F(0), F(1))))
+
+
+# A small pool of integer and half-integer breakpoints, so that two functions
+# often share some of theirs.
+POOL = tuple(F(k, 2) for k in range(-4, 5))
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+breakpoint_sets = st.sets(st.sampled_from(POOL), max_size=4).map(sorted)
+
+
+@st.composite
+def schwartz_fn(draw, arity):
+    """A function of the given arity on 0-4 pool breakpoints, up to 6 cells."""
+    bp = draw(breakpoint_sets)
+    sigs = list(iter_signatures(arity, len(bp)))
+    cells = draw(st.lists(st.sampled_from(sigs), max_size=6, unique=True))
+    return SchwartzFn(arity, bp, {sig: draw(coefficients) for sig in cells})
+
+
+@st.composite
+def same_arity(draw, count):
+    """`count` functions of one arity in 0-4."""
+    arity = draw(st.integers(0, 4))
+    return [draw(schwartz_fn(arity)) for _ in range(count)]
+
+
+class TestPairingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(same_arity(2))
+    def test_matches_integral_of_product(self, fg):
+        # the closed form against the common-refinement route
+        f, g = fg
+        assert pair(f, g) == integrate(multiply(f, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_arity(2))
+    def test_symmetric(self, fg):
+        f, g = fg
+        assert pair(f, g) == pair(g, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_arity(3), coefficients)
+    def test_bilinear(self, fgh, q):
+        f, g, h = fgh
+        assert pair(f + h, g) == pair(f, g) + pair(h, g)
+        assert pair(q * f, g) == q * pair(f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_arity(2), breakpoint_sets, breakpoint_sets)
+    def test_invariant_under_refine(self, fg, extra_f, extra_g):
+        f, g = fg
+        finer_f = refine(f, sorted(set(f.breakpoints) | set(extra_f)))
+        finer_g = refine(g, sorted(set(g.breakpoints) | set(extra_g)))
+        assert pair(finer_f, finer_g) == pair(f, g)
 
 
 class TestPushforward:
