@@ -46,9 +46,9 @@ from .euler import (
     indicator_of_cell,
     iter_signatures,
     key_indicator,
-    pair,
+    pair_total,
 )
-from .linear import Combination, exact, frac_str, json_field, json_int, parse_frac
+from .linear import Combination, frac_str, json_field, json_int, parse_frac
 from .paths import (
     Path,
     Step,
@@ -96,8 +96,8 @@ class Morphism(Combination):
     __slots__ = ("out_arity", "in_arity")
 
     def __init__(self, out_arity: int, in_arity: int, coeffs: dict[Path, Fraction]):
-        self.out_arity = int(out_arity)
-        self.in_arity = int(in_arity)
+        object.__setattr__(self, "out_arity", int(out_arity))
+        object.__setattr__(self, "in_arity", int(in_arity))
         super().__init__(coeffs)
 
     def _check_key(self, p: Path) -> Path:
@@ -117,7 +117,7 @@ class Morphism(Combination):
         return cls(out_arity, in_arity, {})
 
     @classmethod
-    def basis(cls, p: Path, coeff: Fraction = Fraction(1)) -> "Morphism":
+    def basis(cls, p: Path, coeff: int | Fraction = 1) -> "Morphism":
         n, m = p.target
         return cls(n, m, {p: coeff})
 
@@ -147,11 +147,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ValueError(
             f"cannot compose {f.out_arity}<-{f.in_arity} with {g.out_arity}<-{g.in_arity}"
         )
-    right = [(p2, exact(c2)) for p2, c2 in g.coeffs.items()]
     coeffs: dict[Path, int | Fraction] = {}
     for p1, c1 in f.coeffs.items():
-        c1 = exact(c1)
-        for p2, c2 in right:
+        for p2, c2 in g.coeffs.items():
             c = c1 * c2
             for p3, sign in _compose_basis(p1, p2):
                 coeffs[p3] = coeffs.get(p3, 0) + sign * c
@@ -238,12 +236,12 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     m2, l = p2.target
     if m1 != m2:
         raise ValueError(f"inner targets differ: {p1.target} vs {p2.target}")
-    coeffs: dict[Path, Fraction] = {}
+    coeffs: dict[Path, int | Fraction] = {}
     for p3 in enumerate_paths((n, l)):
         z, x = canonical_representative(p3)
         left = slice_kernel(p1, z, axis=1)
         right = slice_kernel(p2, x, axis=2)
-        coeffs[p3] = pair(left, right)
+        coeffs[p3] = pair_total(left, right)
     return Morphism(n, l, coeffs)
 
 
@@ -256,13 +254,12 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
     bp = phi.breakpoints
-    kernel = [(p, exact(c)) for p, c in f.coeffs.items()]
     coeffs: dict[Signature, int | Fraction] = {}
     for sig in iter_signatures(f.out_arity, len(bp)):
         x_out = cell_representative(bp, sig)
         val = 0
-        for p, c in kernel:
-            val += c * exact(pair(slice_kernel(p, x_out, axis=1), phi))
+        for p, c in f.coeffs.items():
+            val += c * pair_total(slice_kernel(p, x_out, axis=1), phi)
         if val:
             coeffs[sig] = val
     return SchwartzFn(f.out_arity, bp, coeffs)
@@ -281,7 +278,7 @@ def projector(word: str) -> Morphism:
         turn = ((1, 0), (0, 1)) if letter == "b" else ((0, 1), (1, 0))
         paths = [p + choice for p in paths for choice in (((1, 1),), turn)]
     n = len(word)
-    return Morphism(n, n, {Path(2, steps): Fraction(1) for steps in paths})
+    return Morphism(n, n, {Path(2, steps): 1 for steps in paths})
 
 
 def trace(f: Morphism) -> Fraction:
@@ -295,7 +292,7 @@ def trace(f: Morphism) -> Fraction:
     n = f.out_arity
     diag = Path(2, ((1, 1),) * n)
     sign = -1 if n % 2 else 1
-    return sign * f.coeffs.get(diag, Fraction(0))
+    return Fraction(sign * f.coeffs.get(diag, 0))
 
 
 def invariant_extension(x: SchwartzFn) -> Morphism:
@@ -305,10 +302,7 @@ def invariant_extension(x: SchwartzFn) -> Morphism:
     (n, m); the coefficient of each path is x's value on its cell.
     """
     m = len(x.breakpoints)
-    coeffs: dict[Path, Fraction] = {}
-    for sig, c in x.coeffs.items():
-        coeffs[_cell_to_path(sig, m)] = c
-    return Morphism(x.arity, m, coeffs)
+    return Morphism(x.arity, m, {_cell_to_path(sig, m): c for sig, c in x.coeffs.items()})
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +316,7 @@ def multiplicity_rank(word: str, m: int) -> int:
     """
     check_weight(word)
     n = len(word)
-    a = tuple(Fraction(i) for i in range(1, n + 1))
+    a = tuple(range(1, n + 1))
     psi = key_indicator(word, a)
     basis = sorted(iter_signatures(m, n))
     index = {sig: i for i, sig in enumerate(basis)}
@@ -331,13 +325,13 @@ def multiplicity_rank(word: str, m: int) -> int:
         image = apply_kernel(invariant_extension(indicator_of_cell(m, a, sig)), psi)
         col = [0] * len(basis)
         for out_sig, c in image.coeffs.items():
-            col[index[out_sig]] = exact(c)
+            col[index[out_sig]] = c
         cols.append(col)
     rows = [list(row) for row in zip(*cols)]
     square = [[sum(map(mul, row, col)) for col in cols] for row in rows]
     if square != rows:
         raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")
-    rank = Fraction(sum(row[i] for i, row in enumerate(rows)))
+    rank = sum(row[i] for i, row in enumerate(rows))
     if rank.denominator != 1:
         raise InvariantError(f"idempotent for {word!r} at arity {m} has trace {rank}")
-    return rank.numerator
+    return int(rank)

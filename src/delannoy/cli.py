@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import category, kring, verify
 from .category import Morphism
@@ -214,11 +213,7 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 def _multiplicity_rows(n: int) -> list[list]:
     cls = kring.schwartz_class(n)
-    rows = []
-    for w in weights_up_to(n):
-        mult = cls.coeffs.get(w, Fraction(0))
-        rows.append([w, int(mult)])
-    return rows
+    return [[w, cls.coeffs.get(w, 0)] for w in weights_up_to(n)]
 
 
 def cmd_decompose(args) -> int:

@@ -14,14 +14,15 @@ increasing at point slots (a point hosts at most one coordinate).  A cell with
 j coordinates in gap slots is a product of points and open simplices and has
 Euler volume (-1)^j: points count 1, open intervals count -1.
 
-Everything is computed over exact rationals.  Functions are stored sparsely
-as cell -> coefficient maps; two functions are equal, add and multiply after
-refining to a common breakpoint set.
+Everything is exact.  Coefficients and breakpoints follow the number rule of
+`linear`: an `int` when integral, a `Fraction` otherwise.  Functions are
+stored sparsely as cell -> coefficient maps; two functions are equal, add and
+multiply after refining to a common breakpoint set.
 
 The pairing does not refine: pair(f, g) = sum of f_a * g_b * prod_i
 sign(a_i, b_i) over cells a of f and b of g, where the sign of two slots is
 0 if they do not meet, +1 if they meet in a point and -1 if they meet in an
-open interval.  It accumulates in int while the coefficients are integers.
+open interval.  Integer coefficients give an integer sum.
 """
 
 from __future__ import annotations
@@ -32,16 +33,14 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .linear import Combination, exact, frac_str, json_field, json_int, parse_frac
+from .linear import Combination, frac_str, json_field, json_int, number, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
-Scalar = Fraction
 
 
-def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # a Fraction is immutable and kept as it is
-    bp = tuple(b if type(b) is Fraction else Fraction(b) for b in breakpoints)
+def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[int | Fraction, ...]:
+    bp = tuple(map(number, breakpoints))
     if any(not a < b for a, b in zip(bp, bp[1:])):
         raise ValueError(f"breakpoints {bp} are not strictly increasing")
     return bp
@@ -125,7 +124,7 @@ def cell_representative(
         left = bp[s // 2 - 1] if s > 0 else None
         right = bp[s // 2] if s < 2 * m else None
         if left is None and right is None:
-            pts = [Fraction((t + 1) * step) for t in range(k)]
+            pts = [(t + 1) * step for t in range(k)]
         elif left is None:
             pts = [right - (k - t) * step for t in range(k)]
         elif right is None:
@@ -153,8 +152,8 @@ class SchwartzFn(Combination):
         breakpoints: Sequence[Fraction],
         coeffs: dict[Signature, Fraction],
     ):
-        self.arity = int(arity)
-        self.breakpoints = _check_breakpoints(breakpoints)
+        object.__setattr__(self, "arity", int(arity))
+        object.__setattr__(self, "breakpoints", _check_breakpoints(breakpoints))
         super().__init__(coeffs)
 
     def _check_key(self, sig: Signature) -> Signature:
@@ -191,7 +190,7 @@ class SchwartzFn(Combination):
 
     @classmethod
     def constant(cls, value: Fraction, arity: int = 0) -> "SchwartzFn":
-        return cls(arity, (), {(0,) * arity: Fraction(value)})
+        return cls(arity, (), {(0,) * arity: value})
 
     @classmethod
     def from_predicate(
@@ -210,19 +209,19 @@ class SchwartzFn(Combination):
         coeffs = {}
         for sig in iter_signatures(arity, len(bp)):
             if pred(cell_representative(bp, sig, variant)):
-                coeffs[sig] = Fraction(1)
+                coeffs[sig] = 1
         return cls(arity, bp, coeffs)
 
     # -- basic structure -----------------------------------------------------
 
     def value_at_cell(self, sig: Signature) -> Fraction:
-        return self.coeffs.get(tuple(sig), Fraction(0))
+        return Fraction(self.coeffs.get(tuple(sig), 0))
 
     def scalar_value(self) -> Fraction:
         """The single value of an arity-0 function."""
         if self.arity != 0:
             raise ValueError("scalar_value requires arity 0")
-        return self.coeffs.get((), Fraction(0))
+        return Fraction(self.coeffs.get((), 0))
 
     def __mul__(self, other):
         if isinstance(other, SchwartzFn):
@@ -259,18 +258,18 @@ def point_mass(a: Sequence[Fraction]) -> SchwartzFn:
     """Indicator of the single tuple a (every coordinate on its breakpoint)."""
     bp = _check_breakpoints(a)
     sig = tuple(2 * k + 1 for k in range(len(bp)))
-    return SchwartzFn(len(bp), bp, {sig: Fraction(1)})
+    return SchwartzFn(len(bp), bp, {sig: 1})
 
 
 def indicator_of_cell(
     arity: int, breakpoints: Sequence[Fraction], sig: Signature
 ) -> SchwartzFn:
-    return SchwartzFn(arity, breakpoints, {tuple(sig): Fraction(1)})
+    return SchwartzFn(arity, breakpoints, {tuple(sig): 1})
 
 
 def integrate(f: SchwartzFn) -> Fraction:
     """Total Euler integral: sum of coefficient times cell volume."""
-    return sum((c * cell_volume(sig) for sig, c in f.coeffs.items()), Fraction(0))
+    return Fraction(sum(c * cell_volume(sig) for sig, c in f.coeffs.items()))
 
 
 def _merge_points(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
@@ -323,7 +322,7 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
         raise ValueError("refinement must contain the original breakpoints")
     expansion = [tuple(range(lo, hi + 1)) for lo, hi in _slot_spans(points, top)]
 
-    coeffs: dict[Signature, Fraction] = {}
+    coeffs: dict[Signature, int | Fraction] = {}
     for sig, c in f.coeffs.items():
         groups: list[list[Signature]] = []
         i = 0
@@ -335,7 +334,7 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
             i = j
         for combo in product(*groups):
             new_sig = tuple(s for part in combo for s in part)
-            coeffs[new_sig] = coeffs.get(new_sig, Fraction(0)) + c
+            coeffs[new_sig] = coeffs.get(new_sig, 0) + c
     return SchwartzFn(f.arity, fine, coeffs)
 
 
@@ -352,7 +351,12 @@ def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
 
 
 def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
-    """The bilinear pairing: the Euler integral of the pointwise product.
+    """The bilinear pairing: the Euler integral of the pointwise product."""
+    return Fraction(pair_total(f, g))
+
+
+def pair_total(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
+    """`pair(f, g)` in the stored number form: an int for integer coefficients.
 
     Coordinate i of the meet of a cell a of f and a cell b of g ranges over
     the meet of the slots a_i and b_i.  Coordinates whose slot pairs differ
@@ -368,11 +372,10 @@ def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
     points_f, points_g, top = _merge_points(f.breakpoints, g.breakpoints)
     spans_f = _slot_spans(points_f, top)
     spans_g = _slot_spans(points_g, top)
-    right = [([spans_g[t] for t in b], exact(d)) for b, d in g.coeffs.items()]
+    right = [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()]
     total = 0
     for a, c in f.coeffs.items():
         left = [spans_f[s] for s in a]
-        c = exact(c)
         for spans, d in right:
             sign = 1
             for (lo, hi), (lo2, hi2) in zip(left, spans):
@@ -386,7 +389,7 @@ def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
                     sign = -sign
             else:
                 total += sign * c * d
-    return Fraction(total)
+    return total
 
 
 def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
@@ -398,11 +401,11 @@ def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
     """
     if not 0 <= i < f.arity:
         raise ValueError(f"coordinate {i} out of range for arity {f.arity}")
-    coeffs: dict[Signature, Fraction] = {}
+    coeffs: dict[Signature, int | Fraction] = {}
     for sig, c in f.coeffs.items():
         sign = 1 if sig[i] % 2 == 1 else -1
         reduced = sig[:i] + sig[i + 1 :]
-        coeffs[reduced] = coeffs.get(reduced, Fraction(0)) + sign * c
+        coeffs[reduced] = coeffs.get(reduced, 0) + sign * c
     return SchwartzFn(f.arity - 1, f.breakpoints, coeffs)
 
 
@@ -429,15 +432,15 @@ class HalfOpenInterval:
     """
 
     kind: str
-    closed: Fraction
-    open_end: Optional[Fraction]
+    closed: int | Fraction
+    open_end: Optional[int | Fraction]
 
     def __post_init__(self) -> None:
         if self.kind not in ("b", "w"):
             raise ValueError("kind must be 'b' (right-closed) or 'w' (left-closed)")
-        object.__setattr__(self, "closed", Fraction(self.closed))
+        object.__setattr__(self, "closed", number(self.closed))
         if self.open_end is not None:
-            object.__setattr__(self, "open_end", Fraction(self.open_end))
+            object.__setattr__(self, "open_end", number(self.open_end))
             if self.kind == "b" and not self.open_end < self.closed:
                 raise ValueError("right-closed interval needs open_end < closed")
             if self.kind == "w" and not self.closed < self.open_end:

@@ -15,12 +15,12 @@ carries:
     identities, and Schur operations through integer-valued polynomials
     given by the hook content formula.
 
-Classes hold exact rational (`Fraction`) coefficients.  The product engine
-works in `int`s: `_tensor_basis` is a bottom-up dynamic programme over suffix
-pairs (Hoffman's quasi-shuffle recursion), and it and `_antipode_word` keep
-immutable (word, int) tuples in LRU caches of `_CACHE_SIZE` entries.
-`Fraction` arithmetic is left where a real division happens (the /j step of
-the binomial chain) or a caller supplies a non-integral coefficient.  Outputs
+Coefficients follow the number rule of `linear`: an `int` when integral, a
+`Fraction` otherwise, so a `Fraction` appears only after a real division (the
+/j step of the binomial chain) or where a caller supplies one.  In the product
+engine, `_tensor_basis` is a bottom-up dynamic programme over suffix pairs
+(Hoffman's quasi-shuffle recursion), and it and `_antipode_word` keep
+immutable (word, int) tuples in LRU caches of `_CACHE_SIZE` entries.  Outputs
 that must be integral raise `InvariantError` if they are not.
 """
 
@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .linear import Combination, exact, frac_str, json_field, parse_frac
+from .linear import Combination, frac_str, json_field, parse_frac
 from .paths import check_weight
 
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
@@ -63,11 +63,11 @@ class KClass(Combination):
 
     @classmethod
     def unit(cls) -> "KClass":
-        return cls({"": Fraction(1)})
+        return cls({"": 1})
 
     @classmethod
     def word(cls, w: str) -> "KClass":
-        return cls({w: Fraction(1)})
+        return cls({w: 1})
 
     def degree(self):
         """Filtration degree: longest word in the support (-inf for zero)."""
@@ -122,7 +122,7 @@ class KTensorClass(Combination):
             out: dict[tuple[str, str], int | Fraction] = {}
             for (u1, v1), c1 in self.coeffs.items():
                 for (u2, v2), c2 in other.coeffs.items():
-                    scale = exact(c1 * c2)
+                    scale = c1 * c2
                     right = _tensor_basis(v1, v2)
                     for lu, cl in _tensor_basis(u1, u2):
                         for rv, cr in right:
@@ -149,11 +149,11 @@ class KTensorClass(Combination):
 
 def concat_mul(x: KClass, y: KClass) -> KClass:
     """Bilinear extension of word concatenation."""
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, int | Fraction] = {}
     for u, cu in x.coeffs.items():
         for v, cv in y.coeffs.items():
             w = u + v
-            coeffs[w] = coeffs.get(w, Fraction(0)) + cu * cv
+            coeffs[w] = coeffs.get(w, 0) + cu * cv
     return KClass(coeffs)
 
 
@@ -191,11 +191,9 @@ def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
 
 def tensor_mul(x: KClass, y: KClass) -> KClass:
     """The standard (tensor) product, extended bilinearly from basis words."""
-    ys = [(v, exact(cv)) for v, cv in y.coeffs.items()]
     coeffs: dict[str, int | Fraction] = {}
     for u, cu in x.coeffs.items():
-        cu = exact(cu)
-        for v, cv in ys:
+        for v, cv in y.coeffs.items():
             scale = cu * cv
             for w, c in _tensor_basis(u, v):
                 coeffs[w] = coeffs.get(w, 0) + scale * c
@@ -204,7 +202,7 @@ def tensor_mul(x: KClass, y: KClass) -> KClass:
 
 def line_class() -> KClass:
     """The class of functions on the line: b + w + 1."""
-    return KClass({"b": Fraction(1), "w": Fraction(1), "": Fraction(1)})
+    return KClass({"b": 1, "w": 1, "": 1})
 
 
 def schwartz_class(n: int) -> KClass:
@@ -217,7 +215,7 @@ def schwartz_class(n: int) -> KClass:
 
 def induce(t: KTensorClass) -> KClass:
     """Induction along the point stabilizer: x (x) y -> x . (b+w+1) . y (concat)."""
-    out: dict[str, Fraction] = {}
+    out: dict[str, int | Fraction] = {}
     for (u, v), c in t.coeffs.items():
         for w in (u + mid + v for mid in _MIXED):
             out[w] = out.get(w, 0) + c
@@ -226,7 +224,7 @@ def induce(t: KTensorClass) -> KClass:
 
 def restrict(x: KClass) -> KTensorClass:
     """Split each word between letters, plus splits that delete one letter."""
-    out: dict[tuple[str, str], Fraction] = {}
+    out: dict[tuple[str, str], int | Fraction] = {}
     for w, c in x.coeffs.items():
         splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
         for key in splits + [(w[: i - 1], w[i:]) for i in range(1, len(w) + 1)]:
@@ -236,9 +234,7 @@ def restrict(x: KClass) -> KTensorClass:
 
 def counit(x: KClass) -> Fraction:
     """The ring homomorphism sending every word to (-1)^length."""
-    return sum(
-        (c * (-1 if len(w) % 2 else 1) for w, c in x.coeffs.items()), Fraction(0)
-    )
+    return Fraction(sum(c * (-1 if len(w) % 2 else 1) for w, c in x.coeffs.items()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -258,7 +254,6 @@ def antipode(x: KClass) -> KClass:
     """The antipode, computed by its defining recursion on word length."""
     out: dict[str, int | Fraction] = {}
     for w, c in x.coeffs.items():
-        c = exact(c)
         for v, d in _antipode_word(w):
             out[v] = out.get(v, 0) + c * d
     return KClass(out)
@@ -273,10 +268,8 @@ def dual(x: KClass) -> KClass:
 def inner(x: KClass, y: KClass) -> Fraction:
     """The pairing making the words (or the pairs of words) an orthonormal basis."""
     small, large = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
-    return sum(
-        (c * large.coeffs[w] for w, c in small.coeffs.items() if w in large.coeffs),
-        Fraction(0),
-    )
+    other = large.coeffs
+    return Fraction(sum(c * other[w] for w, c in small.coeffs.items() if w in other))
 
 
 inner_tensor = inner
@@ -329,14 +322,9 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def binom_at(t: Fraction, i: int) -> Fraction:
+def binom_at(t: int | Fraction, i: int) -> Fraction:
     """binom(t, i) for an arbitrary rational t."""
-    out = Fraction(1)
-    for j in range(i):
-        out *= (t - j)
-    for j in range(2, i + 1):
-        out /= j
-    return out
+    return Fraction(prod(t - j for j in range(i)), factorial(i))
 
 
 @dataclass(frozen=True)
@@ -346,25 +334,21 @@ class IntValuedPoly:
     coeffs: tuple[int, ...]
 
     def evaluate(self, t) -> Fraction:
-        t = Fraction(t)
-        return sum(
-            (Fraction(c) * binom_at(t, i) for i, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
+        return Fraction(sum(c * binom_at(t, i) for i, c in enumerate(self.coeffs)))
 
     def degree(self) -> int:
         return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
 
 
-def _hook_content_value(parts: tuple[int, ...], t: Fraction) -> Fraction:
+def _hook_content_value(parts: tuple[int, ...], t: int) -> Fraction:
     """Product over the diagram of (t + col - row) / hook length (1-based)."""
     conj = [sum(1 for p in parts if p >= c) for c in range(1, (parts[0] if parts else 0) + 1)]
-    out = Fraction(1)
+    num = den = 1
     for r, width in enumerate(parts, start=1):
         for c in range(1, width + 1):
-            hook = (width - c) + (conj[c - 1] - r) + 1
-            out *= Fraction(t + c - r, hook)
-    return out
+            num *= t + c - r
+            den *= (width - c) + (conj[c - 1] - r) + 1  # the hook length
+    return Fraction(num, den)
 
 
 def schur_dimension_poly(parts: Sequence[int]) -> IntValuedPoly:
@@ -375,7 +359,7 @@ def schur_dimension_poly(parts: Sequence[int]) -> IntValuedPoly:
     """
     parts = check_partition(parts)
     size = sum(parts)
-    values = [_hook_content_value(parts, Fraction(j)) for j in range(size + 1)]
+    values = [_hook_content_value(parts, j) for j in range(size + 1)]
     if any(v.denominator != 1 for v in values):
         raise InvariantError(f"hook content gave non-integers for {parts}")
     return IntValuedPoly(tuple(
@@ -398,10 +382,7 @@ def hilbert_value(x: KClass, n: int) -> Fraction:
     """Dimension of the invariants under an n-point stabilizer, by class."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return sum(
-        (c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n),
-        Fraction(0),
-    )
+    return Fraction(sum(c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n))
 
 
 def is_lyndon(word: str) -> bool:

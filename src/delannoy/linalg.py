@@ -9,17 +9,16 @@ from typing import Sequence
 from .errors import InvariantError
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank is unchanged)."""
     out = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * scale) for f in fr])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
     return out
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank over the rationals, by Bareiss fraction-free elimination.
 
     Every intermediate entry is a minor of the integer matrix, so all

@@ -5,16 +5,31 @@ and Schwartz functions are all vector spaces with a fixed basis (paths, weight
 words, pairs of words, cells).  `Combination` holds the arithmetic they share;
 a subclass supplies its space, its key check, its canonical term order and
 its JSON shape.
+
+One number rule holds for every coefficient and breakpoint: `number` stores
+an integral value as an `int` and any other rational as a `Fraction`.  Most
+values in the category are integers (composition signs, dimensions +-1,
+binomial multiplicities), so arithmetic stays in `int` until a real division
+makes a `Fraction`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Optional
 
 
-def frac_str(q: Fraction) -> str:
+def number(value) -> int | Fraction:
+    """The stored form of a rational: an int when it is integral, a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    q = value if type(value) is Fraction else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def frac_str(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -40,11 +55,6 @@ def json_int(value) -> int:
     return value
 
 
-def exact(c: Fraction) -> int | Fraction:
-    """An integral coefficient as an int, so that products stay in int arithmetic."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def json_field(data, name: str, convert: Optional[Callable] = None):
     """`convert(data[name])` for a JSON object; ValueError naming the field otherwise."""
     if not isinstance(data, dict):
@@ -63,9 +73,10 @@ class Combination:
     """A finitely supported rational combination of basis keys.
 
     Construction keeps the nonzero terms, each key passed through the
-    subclass's `_check_key`.  Operands of `+`, `-` and `==` are brought to one
-    space by `_align`; results are built by `_new`, so through the subclass's
-    `__init__`.
+    subclass's `_check_key` and each coefficient through `number`, and holds
+    them in a read-only `coeffs` mapping; no attribute can be set afterwards.
+    Operands of `+`, `-` and `==` are brought to one space by `_align`;
+    results are built by `_new`, so through the subclass's `__init__`.
     """
 
     __slots__ = ("coeffs",)
@@ -74,11 +85,20 @@ class Combination:
         check = self._check_key
         clean = {}
         for k, c in (coeffs or {}).items():
-            if type(c) is not Fraction:  # a Fraction is immutable and kept as it is
-                c = Fraction(c)
+            if type(c) is not int:
+                c = number(c)
             if c:
                 clean[check(k)] = c
-        self.coeffs = clean
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+        return type(self), (*self._space(), dict(self.coeffs))
 
     def _check_key(self, key):
         """The key, validated for this space (ValueError if it does not belong)."""
@@ -123,14 +143,14 @@ class Combination:
             return NotImplemented
         return pair[0].coeffs == pair[1].coeffs
 
-    __hash__ = None  # mutable; a SchwartzFn also equals its refinements
+    __hash__ = None  # a SchwartzFn equals its refinements, which have other cells
 
     def __add__(self, other):
         pair = self._align(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        coeffs = dict(a.coeffs)
+        coeffs = a.coeffs.copy()
         for k, c in b.coeffs.items():
             coeffs[k] = coeffs.get(k, 0) + c
         return a._new(coeffs)
@@ -147,7 +167,7 @@ class Combination:
         return -self + other
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = number(scalar)
         return self._new({k: c * s for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__

@@ -261,18 +261,13 @@ def encode_orbit(x: Sequence[Fraction], y: Sequence[Fraction]) -> Path:
     return Path(2, tuple(steps))
 
 
-def canonical_representative(p: Path) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def canonical_representative(p: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Place the merged points of a 2-dimensional path at 1, 2, ..., len(p)."""
     if p.dim != 2:
         raise ValueError("canonical representatives exist only in dimension 2")
-    x: list[Fraction] = []
-    y: list[Fraction] = []
-    for pos, (sx, sy) in enumerate(p.steps, start=1):
-        if sx:
-            x.append(Fraction(pos))
-        if sy:
-            y.append(Fraction(pos))
-    return tuple(x), tuple(y)
+    x = tuple(pos for pos, (sx, _) in enumerate(p.steps, start=1) if sx)
+    y = tuple(pos for pos, (_, sy) in enumerate(p.steps, start=1) if sy)
+    return x, y
 
 
 # Weights: words over the two-letter alphabet, serialized 'b' (filled) / 'w' (open).

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import delannoy
 from delannoy import cli
-from delannoy.cli import main
+from delannoy.cli import _path_cell, main
+from delannoy.paths import enumerate_paths
 
 
 def run_cli(capsys, *argv):
@@ -276,3 +278,82 @@ def test_ring_mul_long_word_matches_closed_form(n):
     terms = json.loads(proc.stdout)["terms"]
     assert len(terms) == 2 * n + 3
     assert {t["word"]: t["coeff"] for t in terms} == {w: f"{c}/1" for w, c in expected.items()}
+
+
+def _pinned_invocations() -> list[tuple[str, ...]]:
+    """A fixed set of in-process invocations over every output-producing command."""
+    formats = ("json", "csv", "pretty")
+    words = ("", "b", "w", "bw", "wb", "bb")
+    morphisms = [
+        '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":"3/2"}]}',
+        '{"n":2,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":"-7/3"},'
+        '{"path":{"d":2,"steps":[[1,0],[0,1],[1,1]]},"coeff":"1/2"}]}',
+        '{"n":2,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":"4/2"}]}',
+        '{"n":0,"m":0,"terms":[{"path":{"d":2,"steps":[]},"coeff":5}]}',
+    ]
+    out = []
+    for fmt in formats:
+        tail = ("--format", fmt)
+        for x in ("", "b", "w", "bw"):
+            for y in ("b", "wb"):
+                out.append(("ring", "mul", "--x", x, "--y", y) + tail)
+                out.append(("ring", "ind", "--x", x, "--y", y) + tail)
+        for w in words:
+            out.append(("ring", "res", "--word", w) + tail)
+            out.append(("ring", "antipode", "--word", w) + tail)
+            out.append(("ring", "hilbert", "--word", w, "--n", "3") + tail)
+            out.append(("projector", "--word", w) + tail)
+            out.append(("trace", "--word", w) + tail)
+        for w in ("b", "bw"):
+            for n in ("1", "2", "3"):
+                out.append(("ring", "adams", "--word", w, "--n", n) + tail)
+        for lam in ("", "1", "2", "1,1", "2,1"):
+            for w in ("b", "bw"):
+                out.append(("ring", "schur", "--lambda", lam, "--word", w) + tail)
+        for text in morphisms:
+            out.append(("trace", "--morphism", text) + tail)
+        for n in range(5):
+            out.append(("decompose", "--n", str(n)) + tail)
+    # every composable pair of paths with arity <= 2, by both routes, formats in turn
+    index = 0
+    for n in range(3):
+        for m in range(3):
+            for l in range(3):
+                for p1 in enumerate_paths((n, m)):
+                    for p2 in enumerate_paths((m, l)):
+                        argv = ("compose", "--p1", _path_cell(p1), "--p2", _path_cell(p2),
+                                "--format", formats[index % 3])
+                        out += [argv, argv + ("--oracle",)]
+                        index += 1
+    for fmt in ("json", "csv"):
+        for n in range(4):
+            out.append(("export", "--table", "multiplicities", "--n", str(n), "--format", fmt))
+        for n, m in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2)):
+            out.append(("export", "--table", "composition", "--n", str(n), "--m", str(m),
+                        "--format", fmt))
+    # usage errors
+    out.append(("ring", "mul", "--x", "bq", "--y", "w"))
+    out.append(("compose", "--p1", "[[1,1]]", "--p2", "[[1,1],[1,1]]"))
+    out.append(("trace", "--morphism", '{"n":1,"m":2,"terms":[]}'))
+    return out
+
+
+# sha256 of the pinned invocations' (argv, exit code, stdout, stderr), recorded
+# before integral coefficients were stored as int
+PINNED_CLI_SHA256 = "50e62c9c4b5de17c30ec796e29aaacab1c5304370f88d2bb39b006a714135782"
+
+
+def test_pinned_cli_bytes(capsys, monkeypatch):
+    # building the argparse parser is most of an in-process invocation's cost;
+    # one parser, which parse_args leaves unchanged, serves every invocation
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    invocations = _pinned_invocations()
+    for argv in invocations:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        record = [list(argv), code, captured.out, captured.err]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert len(invocations) == 1136
+    assert digest.hexdigest() == PINNED_CLI_SHA256

@@ -232,8 +232,10 @@ class TestEngine:
         for _ in range(2):
             assert b * w == product
             assert antipode(bw) == anti
-            (b * w).coeffs["bw"] = F(99)
-            antipode(bw).coeffs["wb"] = F(99)
+            with pytest.raises(TypeError):
+                (b * w).coeffs["bw"] = F(99)
+            with pytest.raises(TypeError):
+                antipode(bw).coeffs["wb"] = F(99)
             for cached in (kring._tensor_basis("b", "w"), kring._antipode_word("bw")):
                 with contextlib.suppress(AttributeError, TypeError):
                     cached.coeffs["bw"] = F(99)
