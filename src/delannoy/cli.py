@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from . import category, kring, verify
 from .category import Morphism
@@ -48,10 +49,6 @@ def _path_cell(p: Path) -> str:
 
 def _kclass_rows(x: KClass) -> list[list[str]]:
     return [[w, frac_str(c)] for w, c in x.terms()]
-
-
-def _kclass_pretty(x: KClass) -> str:
-    return " + ".join(f"{c}*{w or '1'}" for w, c in x.terms()) or "0"
 
 
 def _emit(args, payload: dict, csv_table=None, pretty_lines=None) -> None:
@@ -148,13 +145,12 @@ def cmd_trace(args) -> int:
 
 
 def _emit_kclass(args, x: KClass) -> None:
-    _emit(args, x.to_json(), (["word", "coeff"], _kclass_rows(x)), [_kclass_pretty(x)])
+    _emit(args, x.to_json(), (["word", "coeff"], _kclass_rows(x)), [repr(x)])
 
 
 def _emit_ktensor(args, t: KTensorClass) -> None:
     rows = [[u, v, frac_str(c)] for (u, v), c in t.terms()]
-    pretty = [f"{c}*({u or '1'} (x) {v or '1'})" for u, v, c in rows]
-    _emit(args, t.to_json(), (["left", "right", "coeff"], rows), pretty or ["0"])
+    _emit(args, t.to_json(), (["left", "right", "coeff"], rows), t.term_texts() or ["0"])
 
 
 def cmd_ring(args) -> int:
@@ -188,7 +184,7 @@ def cmd_ring(args) -> int:
             (["word", "coeff"], rows),
             [
                 f"dimension polynomial (binomial basis): {list(poly.coeffs)}",
-                f"value on '{args.word}': {_kclass_pretty(value)}",
+                f"value on '{args.word}': {value!r}",
             ],
         )
     elif op == "hilbert":
@@ -296,8 +292,11 @@ def cmd_export(args) -> int:
     else:
         text = json.dumps(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -405,9 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -23,6 +23,11 @@ The pairing does not refine: pair(f, g) = sum of f_a * g_b * prod_i
 sign(a_i, b_i) over cells a of f and b of g, where the sign of two slots is
 0 if they do not meet, +1 if they meet in a point and -1 if they meet in an
 open interval.  Integer coefficients give an integer sum.
+
+Indicators are written down cell by cell, with no search over the cells: a
+word of length n has the 2^n cells that pick, per letter, one of its two
+slots, and a tuple of half-open intervals has the product of the slot runs
+that the intervals cover.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linear import Combination, frac_str, json_field, json_int, number, parse_frac
 from .paths import check_weight
@@ -96,21 +101,16 @@ def cell_volume(sig: Signature) -> int:
     return -1 if sum(1 for s in sig if s % 2 == 0) % 2 else 1
 
 
-def cell_representative(
-    breakpoints: Sequence[Fraction], sig: Signature, variant: int = 0
-) -> tuple[Fraction, ...]:
+def cell_representative(breakpoints: Sequence[Fraction], sig: Signature) -> tuple[Fraction, ...]:
     """A deterministic exact point of the cell.
 
     Coordinates on point slots sit on the breakpoint itself; k coordinates
-    sharing a gap are spread at rational positions inside it.  The variant
-    parameter selects a different (equally valid) spread, used to double-check
-    that constructions are genuinely constant on cells.
+    sharing a gap are spread at rational positions inside it.
     """
     bp = tuple(breakpoints)
     m = len(bp)
     out: list[Fraction] = []
     i = 0
-    step = 1 + variant
     while i < len(sig):
         s = sig[i]
         if s % 2 == 1:
@@ -124,14 +124,14 @@ def cell_representative(
         left = bp[s // 2 - 1] if s > 0 else None
         right = bp[s // 2] if s < 2 * m else None
         if left is None and right is None:
-            pts = [(t + 1) * step for t in range(k)]
+            pts = [t + 1 for t in range(k)]
         elif left is None:
-            pts = [right - (k - t) * step for t in range(k)]
+            pts = [right - (k - t) for t in range(k)]
         elif right is None:
-            pts = [left + (t + 1) * step for t in range(k)]
+            pts = [left + (t + 1) for t in range(k)]
         else:
             width = right - left
-            pts = [left + width * Fraction(t + 1, k + step) for t in range(k)]
+            pts = [left + width * Fraction(t + 1, k + 1) for t in range(k)]
         out.extend(pts)
         i = j
     return tuple(out)
@@ -191,26 +191,6 @@ class SchwartzFn(Combination):
     @classmethod
     def constant(cls, value: Fraction, arity: int = 0) -> "SchwartzFn":
         return cls(arity, (), {(0,) * arity: value})
-
-    @classmethod
-    def from_predicate(
-        cls,
-        arity: int,
-        breakpoints: Sequence[Fraction],
-        pred: Callable[[tuple[Fraction, ...]], bool],
-        variant: int = 0,
-    ) -> "SchwartzFn":
-        """Indicator of the set of tuples satisfying pred.
-
-        Only valid when the set is a union of cells over the given breakpoints;
-        membership is tested on one representative per cell.
-        """
-        bp = _check_breakpoints(breakpoints)
-        coeffs = {}
-        for sig in iter_signatures(arity, len(bp)):
-            if pred(cell_representative(bp, sig, variant)):
-                coeffs[sig] = 1
-        return cls(arity, bp, coeffs)
 
     # -- basic structure -----------------------------------------------------
 
@@ -457,64 +437,46 @@ class HalfOpenInterval:
             out.append(self.open_end)
         return out
 
-    def _sup(self) -> tuple[Optional[Fraction], bool]:
-        # (value or None for +inf, attained?)
-        return (self.closed, True) if self.kind == "b" else (self.open_end, False)
-
-    def _inf(self) -> tuple[Optional[Fraction], bool]:
-        return (self.open_end, False) if self.kind == "b" else (self.closed, True)
-
-
-def _strictly_before(a: HalfOpenInterval, b: HalfOpenInterval) -> bool:
-    sup, sup_in = a._sup()
-    inf, inf_in = b._inf()
-    if sup is None or inf is None:
-        return False
-    if sup < inf:
-        return True
-    return sup == inf and not (sup_in and inf_in)
-
 
 def interval_indicator(intervals: Sequence[HalfOpenInterval]) -> SchwartzFn:
     """Indicator of an increasing tuple of disjoint half-open intervals.
 
-    The empty tuple gives the constant 1 in arity 0.  Each factor integrates
-    to 0 (open part -1, closed endpoint +1), so the total integral vanishes
-    for every nonempty tuple.
+    Over the sorted finite endpoints each interval covers a contiguous run of
+    slots, and the indicator is the product of these runs.  The intervals are
+    disjoint and increasing exactly when each run ends before the next one
+    starts.  The empty tuple gives the constant 1 in arity 0.  Each factor
+    integrates to 0 (open part -1, closed endpoint +1), so the total integral
+    vanishes for every nonempty tuple.
     """
-    for a, b in zip(intervals, intervals[1:]):
-        if not _strictly_before(a, b):
-            raise ValueError("intervals must be disjoint and increasing")
-    n = len(intervals)
     bp = sorted({e for iv in intervals for e in iv.finite_endpoints()})
+    point = {b: 2 * k + 1 for k, b in enumerate(bp)}
+    runs = []
+    for iv in intervals:
+        if iv.kind == "b":  # (open_end, closed]: from the gap after open_end
+            lo = 0 if iv.open_end is None else point[iv.open_end] + 1
+            hi = point[iv.closed]
+        else:  # [closed, open_end): up to the gap before open_end
+            lo = point[iv.closed]
+            hi = 2 * len(bp) if iv.open_end is None else point[iv.open_end] - 1
+        runs.append(range(lo, hi + 1))
+    if any(r[-1] >= s[0] for r, s in zip(runs, runs[1:])):
+        raise ValueError("intervals must be disjoint and increasing")
+    return SchwartzFn(len(runs), bp, dict.fromkeys(product(*runs), 1))
 
-    def pred(x: tuple[Fraction, ...]) -> bool:
-        return all(iv.contains(x[i]) for i, iv in enumerate(intervals))
 
-    return SchwartzFn.from_predicate(n, bp, pred)
-
-
-def key_indicator(word: str, a: Sequence[Fraction], variant: int = 0) -> SchwartzFn:
+def key_indicator(word: str, a: Sequence[Fraction]) -> SchwartzFn:
     """Indicator of the one-sided region attached to a weight word at basepoints a.
 
     Coordinate i is tied to a_i on the side named by the letter ('b': x_i <=
     a_i, 'w': a_i <= x_i) and interleaves strictly with the neighboring
-    basepoints (x_i < a_{i+1} and a_i < x_{i+1}).
+    basepoints (x_i < a_{i+1} and a_i < x_{i+1}).  So letter i allows two
+    slots: the gap before a_i or a_i itself for 'b', a_i or the gap after it
+    for 'w'.  The indicator is 1 on the 2^n cells that pick one slot per letter.
     """
     check_weight(word)
     bp = _check_breakpoints(a)
     if len(word) != len(bp):
         raise ValueError("word length must match the number of basepoints")
-    n = len(word)
-
-    def pred(x: tuple[Fraction, ...]) -> bool:
-        for i, letter in enumerate(word):
-            if letter == "b" and not x[i] <= bp[i]:
-                return False
-            if letter == "w" and not bp[i] <= x[i]:
-                return False
-            if i + 1 < n and not (x[i] < bp[i + 1] and bp[i] < x[i + 1]):
-                return False
-        return True
-
-    return SchwartzFn.from_predicate(n, bp, pred, variant)
+    slots = [(2 * i, 2 * i + 1) if letter == "b" else (2 * i + 1, 2 * i + 2)
+             for i, letter in enumerate(word)]
+    return SchwartzFn(len(bp), bp, dict.fromkeys(product(*slots), 1))

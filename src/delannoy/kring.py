@@ -85,8 +85,8 @@ class KClass(Combination):
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def __repr__(self) -> str:
-        bits = [f"{c}*{w or '1'}" if c != 1 or not w else w for w, c in self.terms()]
-        return " + ".join(bits) or "0"
+        """The terms as coeff*word joined by +, the empty word written 1."""
+        return " + ".join(f"{c}*{w or '1'}" for w, c in self.terms()) or "0"
 
     def to_json(self) -> dict:
         return {"terms": [{"word": w, "coeff": frac_str(c)} for w, c in self.terms()]}
@@ -131,9 +131,12 @@ class KTensorClass(Combination):
             return KTensorClass(out)
         return super().__mul__(other)
 
+    def term_texts(self) -> list[str]:
+        """Each term as num/den*(u (x) v), the empty word written 1."""
+        return [f"{frac_str(c)}*({u or '1'} (x) {v or '1'})" for (u, v), c in self.terms()]
+
     def __repr__(self) -> str:
-        bits = [f"{c}*({u or '1'}(x){v or '1'})" for (u, v), c in self.terms()]
-        return " + ".join(bits) or "0"
+        return " + ".join(self.term_texts()) or "0"
 
     def to_json(self) -> dict:
         return {"terms": [{"left": u, "right": v, "coeff": frac_str(c)}
@@ -207,6 +210,8 @@ def line_class() -> KClass:
 
 def schwartz_class(n: int) -> KClass:
     """The class of functions on ordered n-tuples: the n-th concat power of b+w+1."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     out = KClass.unit()
     for _ in range(n):
         out = concat_mul(out, line_class())

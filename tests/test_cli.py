@@ -10,6 +10,7 @@ import pytest
 import delannoy
 from delannoy import cli
 from delannoy.cli import _path_cell, main
+from delannoy.kring import KClass, restrict
 from delannoy.paths import enumerate_paths
 
 
@@ -17,6 +18,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _run_process(*argv):
+    # `delannoy <argv>` as its own process, so that the exit code and stderr are the ones a shell sees
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "delannoy.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
 
 
 def test_count_json(capsys):
@@ -138,6 +148,41 @@ def test_export_to_file(tmp_path, capsys):
     assert len(lines) == 8  # header + 7 weights of length <= 2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_export_unwritable_out_is_a_usage_error(tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    proc = _run_process("export", "--table", "multiplicities", "--n", "1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "--n", "-1"), ("export", "--table", "multiplicities", "--n", "-2")],
+    ids=["decompose", "export-multiplicities"],
+)
+def test_negative_size_is_a_usage_error(argv):
+    proc = _run_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: n must be non-negative\n" and proc.stdout == ""
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    assert main(["count", "--n", "1", "--m", "1"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["count", "--n", "2", "--m", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["D(1, 1) = 3", "D(2, 1) = 5"]
+
+
+def test_pretty_ring_output_is_the_repr(capsys):
+    _, out = run_cli(capsys, "ring", "mul", "--x", "bw", "--y", "b")
+    assert out == repr(KClass.word("bw") * KClass.word("b")) + "\n"
+    _, out = run_cli(capsys, "ring", "res", "--word", "bw")
+    t = restrict(KClass.word("bw"))
+    assert out.splitlines() == t.term_texts() == repr(t).split(" + ")
+
+
 def test_export_composition_json(capsys):
     code, out = run_cli(capsys, "export", "--table", "composition", "--n", "1", "--format", "json")
     data = json.loads(out)
@@ -176,14 +221,8 @@ def test_paths_budget_boundary(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(2000, 0), (0, 2000)])
 def test_paths_long_single_path(n, m):
-    # D(n, 0) = 1: one path of n steps, past the recursion limit; run as its
-    # own process so that the exit code is the one a shell sees
-    src = os.path.dirname(os.path.dirname(delannoy.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delannoy.cli", "paths", "--n", str(n), "--m", str(m),
-         "--format", "json"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
+    # D(n, 0) = 1: one path of n steps, past the recursion limit
+    proc = _run_process("paths", "--n", str(n), "--m", str(m), "--format", "json")
     assert proc.returncode == 0, proc.stderr[-500:]
     out = json.loads(proc.stdout)
     step = [1, 0] if n else [0, 1]
@@ -244,12 +283,7 @@ ZERO_DENOMINATOR = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff
          "compose-bool-step", "compose-float-step", "compose-float-d"],
 )
 def test_malformed_json_is_a_usage_error(argv, name):
-    # run as its own process, so that the exit code and stderr are the ones a shell sees
-    src = os.path.dirname(os.path.dirname(delannoy.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delannoy.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
+    proc = _run_process(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert f"field {name!r}" in proc.stderr
@@ -263,14 +297,8 @@ def test_bad_partition(capsys):
 
 @pytest.mark.parametrize("n", [1, 2, 1200])
 def test_ring_mul_long_word_matches_closed_form(n):
-    # b^n * w = sum_{i<=n} b^i w b^(n-i) + sum_{i<n} b^i w b^(n-1-i) + n b^n + n b^(n-1),
-    # run as its own process so that the exit code is the one a shell sees
-    src = os.path.dirname(os.path.dirname(delannoy.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delannoy.cli", "ring", "mul",
-         "--x", "b" * n, "--y", "w", "--format", "json"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
+    # b^n * w = sum_{i<=n} b^i w b^(n-i) + sum_{i<n} b^i w b^(n-1-i) + n b^n + n b^(n-1)
+    proc = _run_process("ring", "mul", "--x", "b" * n, "--y", "w", "--format", "json")
     assert proc.returncode == 0, proc.stderr[-500:]
     expected = Counter("b" * i + "w" + "b" * (n - i) for i in range(n + 1))
     expected.update("b" * i + "w" + "b" * (n - 1 - i) for i in range(n))
@@ -343,11 +371,7 @@ def _pinned_invocations() -> list[tuple[str, ...]]:
 PINNED_CLI_SHA256 = "50e62c9c4b5de17c30ec796e29aaacab1c5304370f88d2bb39b006a714135782"
 
 
-def test_pinned_cli_bytes(capsys, monkeypatch):
-    # building the argparse parser is most of an in-process invocation's cost;
-    # one parser, which parse_args leaves unchanged, serves every invocation
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_pinned_cli_bytes(capsys):
     digest = hashlib.sha256()
     invocations = _pinned_invocations()
     for argv in invocations:

@@ -223,7 +223,90 @@ class TestPushforward:
             assert integrate_fully(f, order) == integrate(f)
 
 
+# Membership references: the indicators as a predicate on tuples, evaluated at
+# one representative of every cell.  Both regions are unions of cells over
+# their breakpoints, so this gives the indicator by a route that does not use
+# the slots the indicators are written down from.
+
+
+def key_member(word, a):
+    n = len(word)
+
+    def pred(x):
+        for i, letter in enumerate(word):
+            if letter == "b" and not x[i] <= a[i]:
+                return False
+            if letter == "w" and not a[i] <= x[i]:
+                return False
+            if i + 1 < n and not (x[i] < a[i + 1] and a[i] < x[i + 1]):
+                return False
+        return True
+
+    return pred
+
+
+def intervals_member(intervals):
+    def pred(x):
+        return all(iv.contains(x[i]) for i, iv in enumerate(intervals))
+
+    return pred
+
+
+def indicator_by_membership(arity, bp, pred):
+    return {sig: 1 for sig in iter_signatures(arity, len(bp))
+            if pred(cell_representative(bp, sig))}
+
+
+def strictly_before(a, b):
+    """Whether every point of interval a lies below every point of b."""
+    sup, sup_in = (a.closed, True) if a.kind == "b" else (a.open_end, False)
+    inf, inf_in = (b.open_end, False) if b.kind == "b" else (b.closed, True)
+    if sup is None or inf is None:
+        return False
+    return sup < inf or (sup == inf and not (sup_in and inf_in))
+
+
 class TestIntervalIndicator:
+    def test_matches_membership_reference(self):
+        # seeded tuples of up to four intervals.  Half are placed in order,
+        # each starting at or just after the end of the one before, so that
+        # neighbours often share an endpoint; the others are drawn at random
+        # in -3..3 and often overlap.  Rejected exactly when the reference
+        # finds two neighbours that are not strictly ordered.
+        rng = random.Random(12)
+        built = rejected = touching = 0
+        while built + rejected < 1500:
+            n = rng.randint(0, 4)
+            if rng.random() < 0.5:
+                ends, x = [], rng.randint(-3, 0)
+                for _ in range(n):
+                    lo = x + rng.randint(0, 1)
+                    x = lo + rng.randint(1, 2)
+                    ends.append((lo, x))
+            else:
+                ends = [sorted(rng.sample(range(-3, 4), 2)) for _ in range(n)]
+            ivs = []
+            for lo, hi in ends:
+                unbounded = rng.random() < 0.2
+                if rng.random() < 0.5:
+                    ivs.append(HalfOpenInterval("b", hi, None if unbounded else lo))
+                else:
+                    ivs.append(HalfOpenInterval("w", lo, None if unbounded else hi))
+            pairs = list(zip(ivs, ivs[1:]))
+            if not all(strictly_before(a, b) for a, b in pairs):
+                with pytest.raises(ValueError):
+                    interval_indicator(ivs)
+                rejected += 1
+                continue
+            touching += any(set(a.finite_endpoints()) & set(b.finite_endpoints())
+                            for a, b in pairs)
+            f = interval_indicator(ivs)
+            bp = tuple(sorted({e for iv in ivs for e in iv.finite_endpoints()}))
+            assert f.arity == len(ivs) and f.breakpoints == bp
+            assert dict(f.coeffs) == indicator_by_membership(len(ivs), bp, intervals_member(ivs))
+            built += 1
+        assert min(built, rejected, touching) > 100
+
     def test_empty_tuple_is_unit(self):
         f = interval_indicator([])
         assert f.arity == 0 and f.scalar_value() == 1
@@ -299,13 +382,14 @@ class TestKeyIndicator:
         for i in range(len(word)):
             assert pushforward_coordinate(f, i).is_zero()
 
-    @pytest.mark.parametrize("word", ["b", "w", "bw", "wb", "bbw"])
-    def test_constant_on_cells(self, word):
-        # recompute membership at three different representatives per cell
-        a = tuple(F(2 * i) for i in range(1, len(word) + 1))
-        base = key_indicator(word, a, variant=0)
-        for variant in (1, 2):
-            assert key_indicator(word, a, variant=variant) == base
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_membership_reference(self, n):
+        # the slot rule against membership evaluated at one point of every cell
+        for word in (w for w in weights_up_to(n) if len(w) == n):
+            a = tuple(F(2 * i + 1, 3) for i in range(n))
+            f = key_indicator(word, a)
+            assert f.breakpoints == a
+            assert dict(f.coeffs) == indicator_by_membership(n, a, key_member(word, a))
 
 
 class TestCellCount:
@@ -326,10 +410,9 @@ class TestRepresentatives:
 
     def test_shared_gap_is_increasing(self):
         bp = (F(0), F(1))
-        for variant in (0, 1, 2):
-            rep = cell_representative(bp, (2, 2, 2), variant)
-            assert all(a < b for a, b in zip(rep, rep[1:]))
-            assert all(F(0) < r < F(1) for r in rep)
+        rep = cell_representative(bp, (2, 2, 2))
+        assert all(a < b for a, b in zip(rep, rep[1:]))
+        assert all(F(0) < r < F(1) for r in rep)
 
     def test_unbounded_gaps(self):
         bp = (F(0),)
