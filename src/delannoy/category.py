@@ -16,6 +16,26 @@ otherwise.  The same coefficients arise by multiplying the kernels under
 Euler-characteristic integration; compose_oracle computes them that way, and
 the two routes are checked against each other in the test suite.
 
+`compose` works on whole morphisms.  Each operand becomes a suffix graph: a
+node is (the coefficient of a path that ends there, or None; its sorted
+(step, child) edges), and equal nodes are interned once, so paths that share
+a suffix share its nodes.  The row of a node pair (u, v) sums, over every
+pair of suffixes below u and v, the signed lifts of the pair, keyed by
+projection.  It takes the moves `paths.lifts` takes (`_MOVES`): (0, 0, 1)
+when the p23 head is (0, 1), (1, 0, 0) when the p12 head is (1, 0), and the
+diagonal move when the heads meet on axis 2, which emits no projection step,
+and so flips the sign, exactly when it is (0, 1, 0).  Merging by projection
+is sound because two lifts of one pair of paths never share a projection:
+that holds when the moves that apply at any pair of heads emit distinct steps
+and the move with no projection applies alone, which `_check_moves` verifies
+on the table at import and raises InvariantError otherwise.  So each summand
+is c1 * c2 * eps(p1, p2, p3), and the row of the two roots is the
+composition.  Both the graph build and the row recursion keep their own
+stacks.  Rows are memoised across calls by node pair, as immutable tuples;
+past `_ROWS_LIMIT` pairs (or nodes) the memo and the interning tables are
+cleared together at the start of the next call, since the ids in one index
+the others.
+
 Orientation conventions (fixed here once, verified by the oracle tests):
 
   * encode_orbit lists the output tuple first, so a lone output point is a
@@ -33,6 +53,8 @@ indicators; flipping either convention breaks those tests.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -57,7 +79,6 @@ from .paths import (
     check_weight,
     enumerate_paths,
     lift3,
-    lifts,
 )
 
 
@@ -69,25 +90,181 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
     return -1 if (len(q) + len(p3)) % 2 else 1
 
 
+# Lift moves as (p12 step, p23 step, p13 step): the seven nonzero 3-bit steps
+# (a, b, c), each consuming (a, b) from p12, (b, c) from p23 and emitting (a, c)
+# into p13, with None where that projection is zero.  These are the three
+# kinds of step `paths.lifts` takes: (0, 0, 1), (1, 0, 0) and the diagonal.
+_MOVES = tuple(
+    tuple((x, y) if x or y else None for x, y in ((a, b), (b, c), (a, c)))
+    for a, b, c in itertools.product((0, 1), repeat=3)
+    if a or b or c
+)
+
+
+def _check_moves(moves: Sequence[tuple]) -> None:
+    """Raise InvariantError unless two lifts of one pair never share a projection.
+
+    Two different lifts of one pair agree up to their first different move,
+    and both of those moves apply at the same heads.  So their projections
+    differ if, at every pair of heads, the moves that apply emit pairwise
+    distinct steps and a move that emits nothing applies alone.  Every move
+    must consume a step, or a lift would never end.
+    """
+    if any(s12 is None and s23 is None for s12, s23, _ in moves):
+        raise InvariantError("a lift move consumes no step")
+    heads = (None, (0, 1), (1, 0), (1, 1))
+    for h12 in heads:
+        for h23 in heads:
+            emitted = [s13 for s12, s23, s13 in moves
+                       if s12 in (None, h12) and s23 in (None, h23)]
+            if len(set(emitted)) < len(emitted) or (None in emitted and len(emitted) > 1):
+                raise InvariantError(f"two lifts from heads {h12}, {h23} can share a projection")
+
+
+_check_moves(_MOVES)
+
+# Node pairs the row memo of `compose` keeps between calls.  A path-compose
+# benchmark round fills about 5 700, `export --table composition --n 4 --m 3`
+# 58 500.  When the memo or the node table has grown past this bound, every
+# table of the engine is cleared at the start of the next call: their ids
+# index one another.  Twice this bound adds about 50 MiB to the peak of
+# `delannoy verify all`.
+_ROWS_LIMIT = 1 << 16
+
+
+class _Engine:
+    """Interned suffix graphs, interned projection suffixes and the row memo.
+
+    A node is a suffix graph's state: (the coefficient of a path that ends
+    there, or None; {step: child node}).  A suffix is an id: 0 is the empty
+    suffix, any other id stands for (first step, id of the rest).  A row maps
+    suffix ids to coefficients, as an immutable tuple of pairs.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()  # the tables are shared by every caller
+        self.clear()
+
+    def clear(self) -> None:
+        self.node_ids: dict = {}        # (end, ((step, child), ...)) -> node id
+        self.nodes: list = []           # node id -> (end, {step: child})
+        self.roots: dict = {}           # frozenset of a morphism's terms -> its root
+        self.extend = {s13: {} for _, _, s13 in _MOVES if s13}  # step -> {suffix: step + suffix}
+        self.suffixes: list = [None]    # suffix id -> (step, id of the rest)
+        self.paths: dict = {}           # suffix id -> its decoded Path
+        self.rows: dict = {}            # (node id, node id) -> ((suffix id, coeff), ...)
+
+    def node(self, end, edges: list) -> int:
+        key = (end, tuple(edges))
+        u = self.node_ids.get(key)
+        if u is None:
+            u = self.node_ids[key] = len(self.nodes)
+            self.nodes.append((end, dict(edges)))
+        return u
+
+    def graph(self, f: "Morphism") -> int:
+        """The root of f's suffix graph: its paths, merged where suffixes agree."""
+        key = frozenset(f.coeffs.items())
+        root = self.roots.get(key)
+        if root is None:
+            root = self.roots[key] = self._build(key)
+        return root
+
+    def _build(self, terms) -> int:
+        """Intern the suffix graph of (path, coeff) terms; paths go in sorted
+        order, so a node is complete once a path leaves the prefix that leads
+        to it."""
+        edges: list[list] = [[]]  # edges so far of each node along the last path
+        ends: list = [None]
+        last: tuple = ()
+
+        def close(depth: int) -> None:
+            while len(edges) > depth + 1:
+                child = self.node(ends.pop(), edges.pop())
+                edges[-1].append((last[len(edges) - 1], child))
+
+        for steps, c in sorted((p.steps, c) for p, c in terms):
+            k = 0
+            while k < len(last) and k < len(steps) and last[k] == steps[k]:
+                k += 1
+            close(k)
+            for _ in steps[k:]:
+                edges.append([])
+                ends.append(None)
+            ends[-1] = c
+            last = steps
+        close(0)
+        return self.node(ends[0], edges[0])
+
+    def row(self, root: tuple[int, int]) -> tuple:
+        """The row of a node pair: each projection suffix with its summed coefficient.
+
+        Post-order over node pairs on an explicit stack, so long paths do not
+        run into the recursion limit.
+        """
+        rows, nodes, extend, suffixes = self.rows, self.nodes, self.extend, self.suffixes
+        waiting: dict = {}  # pair -> its moves, once found
+        stack = [root]
+        while stack:
+            pair = stack[-1]
+            if pair in rows:
+                stack.pop()
+                continue
+            moves = waiting.get(pair)
+            if moves is None:
+                u, v = pair
+                out12, out23 = nodes[u][1], nodes[v][1]
+                moves = []
+                for s12, s23, s13 in _MOVES:
+                    u2 = u if s12 is None else out12.get(s12)
+                    v2 = v if s23 is None else out23.get(s23)
+                    if u2 is not None and v2 is not None:
+                        moves.append(((u2, v2), s13))
+            missing = [child for child, _ in moves if child not in rows]
+            if missing:
+                waiting[pair] = moves
+                stack += missing
+                continue
+            stack.pop()
+            acc: dict[int, int | Fraction] = {}
+            end12, end23 = nodes[pair[0]][0], nodes[pair[1]][0]
+            if end12 is not None and end23 is not None:
+                acc[0] = end12 * end23
+            for child, s13 in moves:
+                if s13 is None:  # the one move with no projection step flips the sign
+                    for s, c in rows[child]:
+                        acc[s] = acc.get(s, 0) - c
+                    continue
+                ext = extend[s13]
+                for s, c in rows[child]:
+                    t = ext.get(s)
+                    if t is None:
+                        t = ext[s] = len(suffixes)
+                        suffixes.append((s13, s))
+                    acc[t] = acc.get(t, 0) + c
+            rows[pair] = tuple((s, c) for s, c in acc.items() if c)
+        return rows[root]
+
+    def path(self, s: int) -> Path:
+        """The path a suffix id stands for, decoded once."""
+        p = self.paths.get(s)
+        if p is None:
+            steps = []
+            t = s
+            while t:
+                step, t = self.suffixes[t]
+                steps.append(step)
+            p = self.paths[s] = _trusted_path(2, tuple(steps))
+        return p
+
+
+_ENGINE = _Engine()
+
+
 @lru_cache(maxsize=None)
 def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
-    """Row of structure constants for a pair of basis paths.
-
-    Each 3-dimensional path q lifting (p1, p2) contributes
-    (-1)^(len(q)+len(p13)) to its own projection p13, and distinct lifts must
-    land on distinct projections (the uniqueness property, checked here and
-    tested at scale through lift3).
-    """
-    n, m1 = p1.target
-    m2, l = p2.target
-    if m1 != m2:
-        raise ValueError(f"inner targets differ: {p1.target} vs {p2.target}")
-    row: dict[tuple[Step, ...], int] = {}
-    for q, proj in lifts(p1, p2):
-        if proj in row:
-            raise InvariantError(f"two lifts of {p1}, {p2} project to {Path(2, proj)}")
-        row[proj] = -1 if (len(q) + len(proj)) % 2 else 1
-    return tuple((_trusted_path(2, proj), sign) for proj, sign in sorted(row.items()))
+    """Row of structure constants for a pair of basis paths, as (p3, sign) pairs."""
+    return tuple(compose(Morphism.basis(p1), Morphism.basis(p2)).terms())
 
 
 class Morphism(Combination):
@@ -142,17 +319,17 @@ class Morphism(Combination):
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """Bilinear extension of the signed basis rule."""
+    """Bilinear extension of the signed basis rule, over the operands' suffix graphs."""
     if f.in_arity != g.out_arity:
         raise ValueError(
             f"cannot compose {f.out_arity}<-{f.in_arity} with {g.out_arity}<-{g.in_arity}"
         )
-    coeffs: dict[Path, int | Fraction] = {}
-    for p1, c1 in f.coeffs.items():
-        for p2, c2 in g.coeffs.items():
-            c = c1 * c2
-            for p3, sign in _compose_basis(p1, p2):
-                coeffs[p3] = coeffs.get(p3, 0) + sign * c
+    engine = _ENGINE
+    with engine.lock:
+        if len(engine.rows) > _ROWS_LIMIT or len(engine.nodes) > _ROWS_LIMIT:
+            engine.clear()
+        row = engine.row((engine.graph(f), engine.graph(g)))
+        coeffs = {engine.path(s): c for s, c in row}
     return Morphism(f.out_arity, g.in_arity, coeffs)
 
 

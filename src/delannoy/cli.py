@@ -29,9 +29,9 @@ PATHS_LIMIT = 100_000
 
 # The most basis pairs `export --table composition` composes: D(n, m) * D(m, n)
 # pairs, every row held until the table is printed.  n = 3, m = 4 is 16 641
-# pairs (about 3 s of CPU and 80 MiB), n = 4, m = 3 as many pairs with longer
-# products (about 10 s and 240 MiB); n = m = 4 is 103 041 pairs (about 40 s
-# and 900 MiB).
+# pairs (about 2.5 s of CPU and 80 MiB as JSON), n = 4, m = 3 as many pairs
+# with longer products (about 7 s and 230 MiB); n = m = 4 is 103 041 pairs
+# (about 32 s and 750 MiB).  Most of that time is output formatting.
 COMPOSITION_PAIRS_LIMIT = 20_000
 
 

@@ -19,7 +19,7 @@ from . import category, euler, kring
 from .category import Morphism
 from .euler import HalfOpenInterval, SchwartzFn
 from .kring import KClass, KTensorClass
-from .linalg import matrix_rank
+from .linalg import determinant, matrix_rank
 from .paths import Path, all_weights, delannoy_number, enumerate_paths, weights_up_to
 
 
@@ -118,10 +118,21 @@ def suite_category_axioms(report: VerificationReport, rng: random.Random) -> Non
                 if category.identity(n) @ b != b or b @ category.identity(m) != b:
                     ok = False
     report.add("all-diagonal path is a two-sided identity at arities <= 3", ok)
+    # Semisimple with simples of dimension +-1: the trace pairing
+    # Hom(m -> n) x Hom(n -> m) -> Z is perfect in the path bases, so its Gram
+    # determinant is a unit.
+    ok = True
+    for n, m in [*itertools.product(range(4), repeat=2), (3, 4), (4, 3)]:
+        left = [Morphism.basis(p) for p in enumerate_paths((n, m))]
+        right = [Morphism.basis(q) for q in enumerate_paths((m, n))]
+        gram = [[category.trace(f @ g) for g in right] for f in left]
+        if determinant(gram) != (-1) ** (n + m):
+            ok = False
+    report.add("trace pairing has Gram determinant (-1)^(n+m) at n, m <= 3, (3, 4), (4, 3)", ok)
 
 
 def suite_projectors(report: VerificationReport, rng: random.Random) -> None:
-    for n in range(5):
+    for n in range(7):
         words = all_weights(n)
         projs = {w: category.projector(w) for w in words}
         sign = (-1) ** n
@@ -153,7 +164,7 @@ def suite_projectors(report: VerificationReport, rng: random.Random) -> None:
         return [(Path(2, s), c) for s, c in items]
 
     ok = True
-    for n in range(4):
+    for n in range(5):
         quasi = quasi_diagonal(n)
         quasi_set = {p for p, _ in quasi}
         for word in all_weights(n):
@@ -175,7 +186,7 @@ def suite_projectors(report: VerificationReport, rng: random.Random) -> None:
             for p in enumerate_paths((n, n)):
                 if p not in quasi_set and not (pi @ Morphism.basis(p) @ pi).is_zero():
                     ok = False
-    report.add("eigenvalue scalars for quasi-diagonal paths at length <= 3", ok)
+    report.add("eigenvalue scalars for quasi-diagonal paths at length <= 4", ok)
 
 
 def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None:

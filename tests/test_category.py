@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delannoy import category as category_module
@@ -29,7 +31,7 @@ from delannoy.euler import (
     point_mass,
 )
 from delannoy.errors import InvariantError
-from delannoy.paths import Path, all_weights, enumerate_paths, lift3, lifts
+from delannoy.paths import Path, all_weights, enumerate_paths, lift3
 
 F = Fraction
 
@@ -100,15 +102,90 @@ class TestComposition:
         assert epsilon(A, A, DIAG) == 0
 
     def test_long_paths_compose(self):
-        # the lift search keeps its own stack: no recursion limit on path length
+        # the engine keeps its own stacks: no recursion limit on path length
         diag = Path(2, ((1, 1),) * 1200)
         assert basis(diag) @ basis(diag) == basis(diag)
+        zigzag = Path(2, ((1, 0), (0, 1)) * 600)
+        assert identity(600) @ basis(zigzag) == basis(zigzag) == basis(zigzag) @ identity(600)
 
-    def test_two_lifts_with_one_projection_raise(self, monkeypatch):
-        # uniqueness is checked, not assumed: a search that reports a lift twice is caught
-        monkeypatch.setattr(category_module, "lifts", lambda p1, p2: lifts(p1, p2) * 2)
-        with pytest.raises(InvariantError):
-            _compose_basis.__wrapped__(A, B)
+    def test_two_lifts_with_one_projection_raise(self):
+        # uniqueness is checked on the move table, not assumed: a table that
+        # lets two lifts of one pair share a projection is caught
+        check, moves = category_module._check_moves, category_module._MOVES
+        check(moves)
+        assert len(moves) == 7 and ((0, 1), (1, 0), None) in moves
+        mutants = [
+            moves * 2,  # every lift found twice
+            tuple((s12, s23, (1, 0)) if (s12, s23) == ((1, 0), (0, 1)) else (s12, s23, s13)
+                  for s12, s23, s13 in moves),  # (1, 0, 1) emits what (1, 0, 0) emits
+            moves + (((0, 1), None, (0, 1)),),  # a move beside the one with no projection
+            moves + ((None, None, (1, 1)),),  # a move that consumes nothing
+        ]
+        for mutant in mutants:
+            with pytest.raises(InvariantError):
+                check(mutant)
+
+    def test_zero_composes_to_zero(self):
+        rng = random.Random(5)
+        for n, m, l in itertools.product(range(4), repeat=3):
+            g = random_morphism(rng, m, l)
+            assert compose(Morphism.zero(n, m), g) == Morphism.zero(n, l)
+            assert compose(g, Morphism.zero(l, n)) == Morphism.zero(m, n)
+        pi, zero = projector("bwb"), Morphism.zero(3, 3)
+        assert compose(zero, pi) == zero == compose(pi, zero)
+
+    def test_row_memo_clears_past_its_bound(self, monkeypatch):
+        words = all_weights(3)
+        pairs = [(projector(u), projector(v)) for u in words for v in words]
+        pairs += [(basis(p), basis(q))
+                  for p in enumerate_paths((2, 3)) for q in enumerate_paths((3, 2))]
+        want = [compose(f, g) for f, g in pairs]
+        engine = category_module._ENGINE
+        monkeypatch.setattr(category_module, "_ROWS_LIMIT", 40)
+        sizes = []
+        for _ in range(2):
+            for (f, g), expected in zip(pairs, want):
+                before = len(engine.rows)
+                assert compose(f, g) == expected
+                sizes.append((before, len(engine.rows)))
+                assert all(type(row) is tuple for row in engine.rows.values())
+        # the memo passed its bound and was cleared at the start of a later call
+        assert any(before > 40 for before, _ in sizes)
+        assert any(after < before for before, after in sizes)
+
+
+    def test_threads_share_the_engine(self, monkeypatch):
+        # the interning tables and the row memo are shared: a lost update
+        # would give two nodes one id, or clear the memo under a running call
+        words = all_weights(2)
+        pairs = [(projector(u), projector(v)) for u in words for v in words]
+        pairs += [(basis(p), basis(q)) for p in enumerate_paths((2, 2))[::3]
+                  for q in enumerate_paths((2, 2))[::2]]
+        want = [compose(f, g) for f, g in pairs]
+        monkeypatch.setattr(category_module, "_ROWS_LIMIT", 30)
+        wrong = []
+
+        def work():
+            for _ in range(3):
+                for (f, g), expected in zip(pairs, want):
+                    try:
+                        if compose(f, g) != expected:
+                            wrong.append((f, g))
+                    except (KeyError, IndexError) as exc:
+                        wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 @st.composite
@@ -129,7 +206,36 @@ def composable(draw, count, max_arity=4):
     return [draw(path_to(a, b)) for a, b in zip(arities, arities[1:])]
 
 
+@st.composite
+def sparse_morphism(draw, n, m, max_terms=3):
+    """A random morphism to (n, m) with up to `max_terms` terms and Fraction coefficients."""
+    ps = draw(st.lists(path_to(n, m), max_size=max_terms, unique=True))
+    cs = draw(st.lists(st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 2)]),
+                       min_size=len(ps), max_size=len(ps)))
+    return Morphism(n, m, dict(zip(ps, cs)))
+
+
+@st.composite
+def composable_morphisms(draw, max_arity=4):
+    n, m, l = (draw(st.integers(0, max_arity)) for _ in range(3))
+    return draw(sparse_morphism(n, m)), draw(sparse_morphism(m, l))
+
+
 class TestCompositionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(composable_morphisms())
+    @example((projector("bw"), projector("wb")))  # all 16 basis products cancel
+    @example((projector("bw") * F(1, 2), projector("bw") - basis(Path(2, ((1, 1), (1, 1))))))
+    def test_compose_matches_lift3_sum(self, pair):
+        # the merged recursion against the independent per-triple route
+        f, g = pair
+        want = {}
+        for p1, c1 in f.coeffs.items():
+            for p2, c2 in g.coeffs.items():
+                for p3 in enumerate_paths((f.out_arity, g.in_arity)):
+                    want[p3] = want.get(p3, 0) + c1 * c2 * epsilon(p1, p2, p3)
+        assert compose(f, g) == Morphism(f.out_arity, g.in_arity, want)
+
     @settings(max_examples=150, deadline=None)
     @given(composable(2))
     def test_row_matches_oracle(self, pair):

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
-from delannoy.linalg import matrix_rank
+import pytest
+
+from delannoy.linalg import determinant, matrix_rank
 
 
 def gauss_rank(rows):
@@ -56,3 +59,48 @@ def test_low_rank_products():
             for i in range(n)
         ]
         assert matrix_rank(prod) <= k
+
+
+def leibniz_det(rows):
+    """The permutation expansion, as an independent oracle."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_determinant_simple_cases():
+    assert determinant([]) == 1
+    assert determinant([[5]]) == 5
+    assert determinant([[0, 1], [1, 0]]) == -1  # one row swap
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 0], [0, 0]]) == 0
+    assert determinant([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+
+
+def test_determinant_rejects_non_square():
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
+    with pytest.raises(ValueError):
+        determinant([[1], [2, 3]])
+
+
+def test_determinant_against_leibniz_oracle():
+    rng = random.Random(19)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.2:  # a repeated row
+            rows[-1] = list(rows[0])
+        want = leibniz_det(rows)
+        singular += want == 0
+        assert determinant(rows) == want
+        assert (matrix_rank(rows) == n) == (want != 0)
+    assert singular > 20

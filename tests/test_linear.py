@@ -192,6 +192,7 @@ SCALAR_CALLS = {
     "binom_at": (lambda: kring.binom_at(4, 2), 6),
     "IntValuedPoly.evaluate": (lambda: kring.IntValuedPoly((0, 1)).evaluate(5), 5),
     "hilbert_value": (lambda: kring.hilbert_value(KClass.word("bw"), 4), 6),
+    "determinant": (lambda: linalg.determinant([[2, 1], [1, F(3, 2)]]), 2),
 }
 
 
