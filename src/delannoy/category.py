@@ -171,9 +171,11 @@ class _Engine:
         return root
 
     def _build(self, terms) -> int:
-        """Intern the suffix graph of (path, coeff) terms; paths go in sorted
-        order, so a node is complete once a path leaves the prefix that leads
-        to it."""
+        """Intern the suffix graph of (path, coeff) terms, and return its root.
+
+        Paths go in sorted order, so a node is complete, and is interned,
+        once a path leaves the prefix that leads to it.
+        """
         edges: list[list] = [[]]  # edges so far of each node along the last path
         ends: list = [None]
         last: tuple = ()
