@@ -8,13 +8,13 @@ errors.  Output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
+import threading
 from functools import lru_cache
 
-from . import category, kring, verify
+from . import category, kring
 from .category import Morphism
 from .kring import KClass, KTensorClass
 from .linear import frac_str
@@ -29,13 +29,16 @@ PATHS_LIMIT = 100_000
 
 # The most basis pairs `export --table composition` composes: D(n, m) * D(m, n)
 # pairs, every row held until the table is printed.  n = 3, m = 4 is 16 641
-# pairs (about 2.5 s of CPU and 80 MiB as JSON), n = 4, m = 3 as many pairs
-# with longer products (about 7 s and 230 MiB); n = m = 4 is 103 041 pairs
-# (about 32 s and 750 MiB).  Most of that time is output formatting.
+# pairs (about 1.1 s of CPU and 70 MiB as JSON), n = 4, m = 3 as many pairs
+# with longer products (about 2.5 s and 180 MiB); n = m = 4 is 103 041 pairs
+# (about 11 s and 540 MiB).  At n = 4, m = 3 composing takes about two thirds
+# of the time.
 COMPOSITION_PAIRS_LIMIT = 20_000
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -47,37 +50,49 @@ def _path_cell(p: Path) -> str:
     return json.dumps([list(s) for s in p.steps], separators=(",", ":"))
 
 
+class _PathCells(dict):
+    """`_path_cell` of each path looked up, encoded on its first lookup only."""
+
+    def __missing__(self, p: Path) -> str:
+        text = self[p] = _path_cell(p)
+        return text
+
+
 def _kclass_rows(x: KClass) -> list[list[str]]:
     return [[w, frac_str(c)] for w, c in x.terms()]
 
 
-def _emit(args, payload: dict, csv_table=None, pretty_lines=None) -> None:
+def _emit(args, payload, csv_table, pretty_lines) -> None:
+    """Print the requested format; each argument is a function that builds one format."""
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     elif args.format == "csv":
-        if csv_table is None:
-            raise ValueError("csv output is not available for this command")
-        print(_csv_text(*csv_table))
+        print(_csv_text(*csv_table()))
     else:
-        for line in pretty_lines or [json.dumps(payload)]:
+        for line in pretty_lines():
             print(line)
 
 
 def _morphism_output(args, m: Morphism) -> None:
-    rows = [[_path_cell(p), frac_str(c)] for p, c in m.terms()]
-    pretty = [f"hom({m.in_arity} -> {m.out_arity}), {len(rows)} terms:"] + [
-        f"  {coeff}  {steps}" for steps, coeff in rows
-    ]
-    _emit(args, m.to_json(), (["path", "coeff"], rows), pretty)
+    def rows():
+        return [[_path_cell(p), frac_str(c)] for p, c in m.terms()]
+
+    _emit(
+        args,
+        m.to_json,
+        lambda: (["path", "coeff"], rows()),
+        lambda: [f"hom({m.in_arity} -> {m.out_arity}), {len(m.coeffs)} terms:"]
+        + [f"  {coeff}  {steps}" for steps, coeff in rows()],
+    )
 
 
 def cmd_count(args) -> int:
     value = delannoy_number(args.n, args.m)
     _emit(
         args,
-        {"count": value},
-        (["n", "m", "count"], [[args.n, args.m, value]]),
-        [f"D({args.n}, {args.m}) = {value}"],
+        lambda: {"count": value},
+        lambda: (["n", "m", "count"], [[args.n, args.m, value]]),
+        lambda: [f"D({args.n}, {args.m}) = {value}"],
     )
     return 0
 
@@ -91,16 +106,15 @@ def cmd_paths(args) -> int:
                 f"{PATHS_LIMIT} that 'paths' lists; 'count' gives the number alone"
             )
     paths = enumerate_paths((args.n, args.m))
-    payload = {
-        "target": [args.n, args.m],
-        "count": len(paths),
-        "paths": [p.to_json() for p in paths],
-    }
-    rows = [[i, _path_cell(p), len(p)] for i, p in enumerate(paths)]
-    pretty = [f"{len(paths)} paths to ({args.n}, {args.m}):"] + [
-        f"  {_path_cell(p)}" for p in paths
-    ]
-    _emit(args, payload, (["index", "path", "length"], rows), pretty)
+    _emit(
+        args,
+        lambda: {"target": [args.n, args.m], "count": len(paths),
+                 "paths": [p.to_json() for p in paths]},
+        lambda: (["index", "path", "length"],
+                 [[i, _path_cell(p), len(p)] for i, p in enumerate(paths)]),
+        lambda: [f"{len(paths)} paths to ({args.n}, {args.m}):"]
+        + [f"  {_path_cell(p)}" for p in paths],
+    )
     return 0
 
 
@@ -137,20 +151,24 @@ def cmd_trace(args) -> int:
     value = category.trace(m)
     _emit(
         args,
-        {"trace": frac_str(value)},
-        (["trace"], [[frac_str(value)]]),
-        [f"trace = {value}"],
+        lambda: {"trace": frac_str(value)},
+        lambda: (["trace"], [[frac_str(value)]]),
+        lambda: [f"trace = {value}"],
     )
     return 0
 
 
 def _emit_kclass(args, x: KClass) -> None:
-    _emit(args, x.to_json(), (["word", "coeff"], _kclass_rows(x)), [repr(x)])
+    _emit(args, x.to_json, lambda: (["word", "coeff"], _kclass_rows(x)), lambda: [repr(x)])
 
 
 def _emit_ktensor(args, t: KTensorClass) -> None:
-    rows = [[u, v, frac_str(c)] for (u, v), c in t.terms()]
-    _emit(args, t.to_json(), (["left", "right", "coeff"], rows), t.term_texts() or ["0"])
+    _emit(
+        args,
+        t.to_json,
+        lambda: (["left", "right", "coeff"], [[u, v, frac_str(c)] for (u, v), c in t.terms()]),
+        lambda: t.term_texts() or ["0"],
+    )
 
 
 def cmd_ring(args) -> int:
@@ -172,17 +190,15 @@ def cmd_ring(args) -> int:
         parts = _parse_partition(args.partition)
         poly = kring.schur_dimension_poly(parts)
         value = kring.schur_apply(parts, KClass.word(check_weight(args.word)))
-        payload = {
-            "partition": list(parts),
-            "binomial_coefficients": list(poly.coeffs),
-            "value": value.to_json(),
-        }
-        rows = _kclass_rows(value)
         _emit(
             args,
-            payload,
-            (["word", "coeff"], rows),
-            [
+            lambda: {
+                "partition": list(parts),
+                "binomial_coefficients": list(poly.coeffs),
+                "value": value.to_json(),
+            },
+            lambda: (["word", "coeff"], _kclass_rows(value)),
+            lambda: [
                 f"dimension polynomial (binomial basis): {list(poly.coeffs)}",
                 f"value on '{args.word}': {value!r}",
             ],
@@ -191,9 +207,9 @@ def cmd_ring(args) -> int:
         value = kring.hilbert_value(KClass.word(check_weight(args.word)), args.n)
         _emit(
             args,
-            {"word": args.word, "n": args.n, "value": frac_str(value)},
-            (["word", "n", "value"], [[args.word, args.n, frac_str(value)]]),
-            [f"h({args.word or '1'}, {args.n}) = {value}"],
+            lambda: {"word": args.word, "n": args.n, "value": frac_str(value)},
+            lambda: (["word", "n", "value"], [[args.word, args.n, frac_str(value)]]),
+            lambda: [f"h({args.word or '1'}, {args.n}) = {value}"],
         )
     return 0
 
@@ -214,19 +230,24 @@ def _multiplicity_rows(n: int) -> list[list]:
 
 def cmd_decompose(args) -> int:
     rows = _multiplicity_rows(args.n)
-    payload = {
-        "n": args.n,
-        "terms": [{"word": w, "multiplicity": m} for w, m in rows],
-        "length": sum(m for _, m in rows),
-    }
-    pretty = [f"arity-{args.n} class, length {payload['length']}:"] + [
-        f"  {w or '1':<{max(args.n, 1)}}  x{m}" for w, m in rows
-    ]
-    _emit(args, payload, (["word", "multiplicity"], rows), pretty)
+    length = sum(m for _, m in rows)
+    _emit(
+        args,
+        lambda: {
+            "n": args.n,
+            "terms": [{"word": w, "multiplicity": m} for w, m in rows],
+            "length": length,
+        },
+        lambda: (["word", "multiplicity"], rows),
+        lambda: [f"arity-{args.n} class, length {length}:"]
+        + [f"  {w or '1':<{max(args.n, 1)}}  x{m}" for w, m in rows],
+    )
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.suite == "all":
         reports = verify.run_all(args.seed)
     else:
@@ -255,13 +276,9 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.table == "multiplicities":
-        rows = _multiplicity_rows(args.n)
+        table = {"table": "multiplicities", "n": args.n}
         header = ["word", "multiplicity"]
-        payload = {
-            "table": "multiplicities",
-            "n": args.n,
-            "rows": [{"word": w, "multiplicity": m} for w, m in rows],
-        }
+        rows = _multiplicity_rows(args.n)
     else:
         m = args.m if args.m is not None else args.n
         if min(args.n, m) >= 0:  # enumerate_paths reports a negative target
@@ -271,26 +288,20 @@ def cmd_export(args) -> int:
                     f"the composition table for n = {args.n}, m = {m} has {pairs} basis "
                     f"pairs, more than the {COMPOSITION_PAIRS_LIMIT} that 'export' composes"
                 )
+        table = {"table": "composition", "n": args.n, "m": m}
+        header = ["left", "right", "result", "coeff"]
+        cells = _PathCells()
+        right = [(Morphism.basis(p2), cells[p2]) for p2 in enumerate_paths((m, args.n))]
         rows = []
         for p1 in enumerate_paths((args.n, m)):
-            for p2 in enumerate_paths((m, args.n)):
-                prod = Morphism.basis(p1) @ Morphism.basis(p2)
-                for p3, c in prod.terms():
-                    rows.append([_path_cell(p1), _path_cell(p2), _path_cell(p3), frac_str(c)])
-        header = ["left", "right", "result", "coeff"]
-        payload = {
-            "table": "composition",
-            "n": args.n,
-            "m": m,
-            "rows": [
-                {"left": a, "right": b, "result": r, "coeff": c}
-                for a, b, r, c in rows
-            ],
-        }
+            f, left = Morphism.basis(p1), cells[p1]
+            for g, right_cell in right:
+                for p3, c in (f @ g).terms():
+                    rows.append([left, right_cell, cells[p3], frac_str(c)])
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:
-        text = json.dumps(payload)
+        text = json.dumps({**table, "rows": [dict(zip(header, row)) for row in rows]})
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -303,103 +314,152 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Sub-parsers whose arguments are added only when argparse selects one.
+
+    `command(name, help)` registers a sub-parser with its help text, which
+    the parent's `-h` and "invalid choice" messages show, and decorates the
+    function that adds its arguments.  That function runs the first time
+    the sub-parser is selected, before it parses the rest of the command
+    line, so a process builds the arguments of the command it runs and no
+    others.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._unbuilt = {}
+        self._lock = threading.Lock()  # one parser serves every thread of a process
+
+    def command(self, name: str, help: str):
+        self.add_parser(name, help=help)
+
+        def register(add_arguments):
+            self._unbuilt[name] = add_arguments
+            return add_arguments
+
+        return register
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        with self._lock:
+            add_arguments = self._unbuilt.pop(values[0], None)
+            if add_arguments is not None:
+                add_arguments(self.choices[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delannoy",
         description="Exact computations with Delannoy paths, signed path composition, and the weight-word ring.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="pretty")
 
-    p = sub.add_parser("count", help="Delannoy number D(n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_count)
+    @sub.command("count", help="Delannoy number D(n, m)")
+    def _(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        add_format(p)
+        p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("paths", help="enumerate the paths to (n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_paths)
+    @sub.command("paths", help="enumerate the paths to (n, m)")
+    def _(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        add_format(p)
+        p.set_defaults(func=cmd_paths)
 
-    p = sub.add_parser("compose", help="compose two basis paths")
-    p.add_argument("--p1", required=True, help="path JSON (object or steps array)")
-    p.add_argument("--p2", required=True, help="path JSON (object or steps array)")
-    p.add_argument("--oracle", action="store_true", help="use the integration oracle")
-    add_format(p)
-    p.set_defaults(func=cmd_compose)
+    @sub.command("compose", help="compose two basis paths")
+    def _(p):
+        p.add_argument("--p1", required=True, help="path JSON (object or steps array)")
+        p.add_argument("--p2", required=True, help="path JSON (object or steps array)")
+        p.add_argument("--oracle", action="store_true", help="use the integration oracle")
+        add_format(p)
+        p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("projector", help="projector of a weight word")
-    p.add_argument("--word", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_projector)
+    @sub.command("projector", help="projector of a weight word")
+    def _(p):
+        p.add_argument("--word", required=True)
+        add_format(p)
+        p.set_defaults(func=cmd_projector)
 
-    p = sub.add_parser("trace", help="categorical trace of a morphism or projector")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--morphism", help="morphism JSON")
-    group.add_argument("--word", help="weight word (traces its projector)")
-    add_format(p)
-    p.set_defaults(func=cmd_trace)
+    @sub.command("trace", help="categorical trace of a morphism or projector")
+    def _(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--morphism", help="morphism JSON")
+        group.add_argument("--word", help="weight word (traces its projector)")
+        add_format(p)
+        p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("ring", help="Grothendieck ring operations")
-    ring_sub = p.add_subparsers(dest="ring_op", required=True)
+    @sub.command("ring", help="Grothendieck ring operations")
+    def _(p):
+        ring_sub = p.add_subparsers(dest="ring_op", required=True, action=_Subcommands)
 
-    q = ring_sub.add_parser("mul", help="product of two basis words")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    add_format(q)
+        @ring_sub.command("mul", help="product of two basis words")
+        def _(q):
+            q.add_argument("--x", required=True)
+            q.add_argument("--y", required=True)
+            add_format(q)
 
-    q = ring_sub.add_parser("res", help="restriction of a basis word")
-    q.add_argument("--word", required=True)
-    add_format(q)
+        @ring_sub.command("res", help="restriction of a basis word")
+        def _(q):
+            q.add_argument("--word", required=True)
+            add_format(q)
 
-    q = ring_sub.add_parser("ind", help="induction of a pair of basis words")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    add_format(q)
+        @ring_sub.command("ind", help="induction of a pair of basis words")
+        def _(q):
+            q.add_argument("--x", required=True)
+            q.add_argument("--y", required=True)
+            add_format(q)
 
-    q = ring_sub.add_parser("antipode", help="antipode of a basis word")
-    q.add_argument("--word", required=True)
-    add_format(q)
+        @ring_sub.command("antipode", help="antipode of a basis word")
+        def _(q):
+            q.add_argument("--word", required=True)
+            add_format(q)
 
-    q = ring_sub.add_parser("adams", help="Adams operation on a basis word")
-    q.add_argument("--word", required=True)
-    q.add_argument("--n", type=int, required=True, help="Adams index")
-    add_format(q)
+        @ring_sub.command("adams", help="Adams operation on a basis word")
+        def _(q):
+            q.add_argument("--word", required=True)
+            q.add_argument("--n", type=int, required=True, help="Adams index")
+            add_format(q)
 
-    q = ring_sub.add_parser("schur", help="Schur operation on a basis word")
-    q.add_argument("--lambda", dest="partition", required=True, help="partition, e.g. 2,1")
-    q.add_argument("--word", default="b")
-    add_format(q)
+        @ring_sub.command("schur", help="Schur operation on a basis word")
+        def _(q):
+            q.add_argument("--lambda", dest="partition", required=True, help="partition, e.g. 2,1")
+            q.add_argument("--word", default="b")
+            add_format(q)
 
-    q = ring_sub.add_parser("hilbert", help="invariant dimension of a basis word")
-    q.add_argument("--word", required=True)
-    q.add_argument("--n", type=int, required=True)
-    add_format(q)
+        @ring_sub.command("hilbert", help="invariant dimension of a basis word")
+        def _(q):
+            q.add_argument("--word", required=True)
+            q.add_argument("--n", type=int, required=True)
+            add_format(q)
 
-    p.set_defaults(func=cmd_ring)
+        p.set_defaults(func=cmd_ring)
 
-    p = sub.add_parser("decompose", help="multiplicity table of the arity-n class")
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_decompose)
+    @sub.command("decompose", help="multiplicity table of the arity-n class")
+    def _(p):
+        p.add_argument("--n", type=int, required=True)
+        add_format(p)
+        p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", nargs="?", default="all",
-                   help="suite identifier (e.g. 04-projectors or 4), or 'all'")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify, format="pretty")
+    @sub.command("verify", help="run verification suites")
+    def _(p):
+        p.add_argument("suite", nargs="?", default="all",
+                       help="suite identifier (e.g. 04-projectors or 4), or 'all'")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_verify, format="pretty")
 
-    p = sub.add_parser("export", help="write a table to a file or stdout")
-    p.add_argument("--table", choices=("multiplicities", "composition"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_export)
+    @sub.command("export", help="write a table to a file or stdout")
+    def _(p):
+        p.add_argument("--table", choices=("multiplicities", "composition"), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(func=cmd_export)
 
     return parser
 

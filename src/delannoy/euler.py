@@ -32,13 +32,12 @@ that the intervals cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .linear import Combination, frac_str, json_field, json_int, number, parse_frac
+from .linear import Combination, Frozen, frac_str, json_field, json_int, number, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
@@ -402,29 +401,44 @@ def integrate_fully(f: SchwartzFn, order: Optional[Sequence[int]] = None) -> Fra
     return g.scalar_value()
 
 
-@dataclass(frozen=True)
-class HalfOpenInterval:
+class HalfOpenInterval(Frozen):
     """An interval containing exactly one of its endpoints.
 
     kind 'b' is (lo, closed] with the right endpoint included (lo may be None
     for -inf); kind 'w' is [closed, hi) with the left endpoint included (hi
-    may be None for +inf).
+    may be None for +inf).  Intervals equal and hash as the triple
+    (kind, closed, open_end).
     """
 
-    kind: str
-    closed: int | Fraction
-    open_end: Optional[int | Fraction]
+    __slots__ = ("kind", "closed", "open_end")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("b", "w"):
+    def __init__(self, kind: str, closed: int | Fraction,
+                 open_end: Optional[int | Fraction]) -> None:
+        if kind not in ("b", "w"):
             raise ValueError("kind must be 'b' (right-closed) or 'w' (left-closed)")
-        object.__setattr__(self, "closed", number(self.closed))
-        if self.open_end is not None:
-            object.__setattr__(self, "open_end", number(self.open_end))
-            if self.kind == "b" and not self.open_end < self.closed:
+        closed = number(closed)
+        if open_end is not None:
+            open_end = number(open_end)
+            if kind == "b" and not open_end < closed:
                 raise ValueError("right-closed interval needs open_end < closed")
-            if self.kind == "w" and not self.closed < self.open_end:
+            if kind == "w" and not closed < open_end:
                 raise ValueError("left-closed interval needs closed < open_end")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "open_end", open_end)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.closed, self.open_end)
+                    == (other.kind, other.closed, other.open_end))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.closed, self.open_end))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, closed={self.closed!r}, "
+                f"open_end={self.open_end!r})")
 
     def contains(self, x: Fraction) -> bool:
         if self.kind == "b":

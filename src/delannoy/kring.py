@@ -26,7 +26,6 @@ that must be integral raise `InvariantError` if they are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -34,7 +33,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .linear import Combination, frac_str, json_field, parse_frac
+from .linear import Combination, Frozen, frac_str, json_field, parse_frac
 from .paths import check_weight
 
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
@@ -332,11 +331,24 @@ def binom_at(t: int | Fraction, i: int) -> Fraction:
     return Fraction(prod(t - j for j in range(i)), factorial(i))
 
 
-@dataclass(frozen=True)
-class IntValuedPoly:
+class IntValuedPoly(Frozen):
     """A polynomial in the binomial basis with integer coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
 
     def evaluate(self, t) -> Fraction:
         return Fraction(sum(c * binom_at(t, i) for i, c in enumerate(self.coeffs)))

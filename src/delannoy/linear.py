@@ -11,6 +11,10 @@ an integral value as an `int` and any other rational as a `Fraction`.  Most
 values in the category are integers (composition signs, dimensions +-1,
 binomial multiplicities), so arithmetic stays in `int` until a real division
 makes a `Fraction`.
+
+`Frozen` is the base of every immutable value: the combinations, and the
+paths, intervals and polynomials, which are plain slotted classes rather
+than dataclasses so that importing the package does not load `dataclasses`.
 """
 
 from __future__ import annotations
@@ -69,7 +73,27 @@ def json_field(data, name: str, convert: Optional[Callable] = None):
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-class Combination:
+class Frozen:
+    """A value whose slots are set once, in `__init__`, and never again.
+
+    A subclass sets its slots through `object.__setattr__`.  Unless it says
+    otherwise in `__reduce__`, its `__slots__` are its constructor arguments
+    in order, so that pickle and copy rebuild a value through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Combination(Frozen):
     """A finitely supported rational combination of basis keys.
 
     Construction keeps the nonzero terms, each key passed through the
@@ -91,13 +115,7 @@ class Combination:
                 clean[check(k)] = c
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):  # for pickle and copy, which would set the slots one by one
+    def __reduce__(self):
         return type(self), (*self._space(), dict(self.coeffs))
 
     def _check_key(self, key):

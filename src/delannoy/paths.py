@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 from typing import Optional, Sequence
 
 from .errors import InvariantError
-from .linear import json_field, json_int
+from .linear import Frozen, json_field, json_int
 
 Step = tuple[int, ...]
 
@@ -38,19 +37,50 @@ def _check_step(step: Step, dim: int) -> None:
         raise ValueError("the zero vector is not a valid step")
 
 
-@dataclass(frozen=True, order=True)
-class Path:
-    """A Delannoy path: an ordered tuple of nonzero 0-1 steps of fixed dimension."""
+class Path(Frozen):
+    """A Delannoy path: an ordered tuple of nonzero 0-1 steps of fixed dimension.
 
-    dim: int
-    steps: tuple[Step, ...]
+    Paths equal, hash and order as the pair (dim, steps).
+    """
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    __slots__ = ("dim", "steps")
+
+    def __init__(self, dim: int, steps: Sequence[Sequence[int]]) -> None:
+        if dim < 0:
             raise ValueError("dimension must be non-negative")
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        for step in self.steps:
-            _check_step(step, self.dim)
+        steps = tuple(tuple(s) for s in steps)
+        for step in steps:
+            _check_step(step, dim)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.steps))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.steps) < (other.dim, other.steps)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.steps) <= (other.dim, other.steps)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.steps) > (other.dim, other.steps)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.steps) >= (other.dim, other.steps)
+        return NotImplemented
 
     @property
     def target(self) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -27,6 +28,19 @@ def _run_process(*argv):
         [sys.executable, "-m", "delannoy.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
+
+
+def test_import_set():
+    # what a CLI process loads before it parses its command line: the engine
+    # layers, but neither the verification suites nor csv nor dataclasses
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    code = "import sys, delannoy.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "csv", "delannoy.verify"}
+    engine = {f"delannoy.{m}" for m in ("paths", "euler", "category", "kring", "linalg", "cli")}
+    assert engine <= loaded
 
 
 def test_count_json(capsys):
@@ -173,6 +187,37 @@ def test_parser_is_built_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     assert main(["count", "--n", "2", "--m", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["D(1, 1) = 3", "D(2, 1) = 5"]
+
+
+def test_threads_share_a_fresh_parser():
+    # the first threads to select a command race to add its arguments; each
+    # must parse with all of them
+    argvs = [["count", "--n", "1", "--m", "2"], ["ring", "adams", "--word", "b", "--n", "3"],
+             ["trace", "--word", "bw"], ["export", "--table", "composition", "--n", "1"]] * 2
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            parser, barrier, results = cli.build_parser(), threading.Barrier(len(argvs)), {}
+
+            def parse(i, argv):
+                barrier.wait(timeout=10)
+                try:
+                    results[i] = vars(parser.parse_args(argv))
+                except SystemExit as exc:
+                    results[i] = exc
+
+            threads = [threading.Thread(target=parse, args=(i, argv))
+                       for i, argv in enumerate(argvs)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert [results[i].get("n") for i in range(len(argvs))] == [1, 3, None, 1] * 2
+            assert results[2]["word"] == "bw" and results[3]["format"] == "json"
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_pretty_ring_output_is_the_repr(capsys):
@@ -381,3 +426,68 @@ def test_pinned_cli_bytes(capsys):
         digest.update(json.dumps(record).encode() + b"\n")
     assert len(invocations) == 1136
     assert digest.hexdigest() == PINNED_CLI_SHA256
+
+
+def _argparse_invocations() -> list[tuple[str, ...]]:
+    """Help for every parser, and usage errors that argparse itself reports."""
+    commands = ("count", "paths", "compose", "projector", "trace", "ring", "decompose",
+                "verify", "export")
+    ring_ops = ("mul", "res", "ind", "antipode", "adams", "schur", "hilbert")
+    out = [("-h",), ("--help",)]
+    out += [(c, "-h") for c in commands]
+    out += [("ring", op, "-h") for op in ring_ops]
+    out += [
+        (),
+        ("-x",),
+        ("bogus",),
+        ("--n", "3", "count", "--m", "3"),
+        ("count", "--n", "2"),
+        ("count", "--n", "2", "--m", "2", "--bogus"),
+        ("count", "--n", "two", "--m", "1"),
+        ("count", "--n", "1", "--m", "1", "--format", "xml"),
+        ("count", "--n", "1", "--m", "1", "extra"),
+        ("count", "--n", "1", "--m", "1", "--form", "json"),
+        ("paths", "--n"),
+        ("compose", "--p1", "[[1,1]]"),
+        ("compose", "--p", "[[1,1]]"),
+        ("trace",),
+        ("trace", "--word", "b", "--morphism", "{}"),
+        ("decompose",),
+        ("ring",),
+        ("ring", "bogus"),
+        ("ring", "--word", "b", "res"),
+        ("ring", "mul", "--x"),
+        ("ring", "adams", "--word", "b"),
+        ("ring", "schur", "--word", "b"),
+        ("ring", "hilbert", "--word", "b", "--n", "1.5"),
+        ("verify", "01", "extra"),
+        ("verify", "--seed", "x"),
+        ("export", "--table", "bogus", "--n", "1"),
+        ("export", "--table", "composition", "--n", "1", "--format", "pretty"),
+        ("export", "--n", "1"),
+    ]
+    return out
+
+
+# sha256 of the argparse invocations' (argv, exit code, stdout, stderr) at
+# COLUMNS=80, recorded with every sub-parser built eagerly.  The help and
+# error texts of argparse differ between Python versions; this is Python 3.11's.
+PINNED_ARGPARSE_SHA256 = {(3, 11): "80c8eaaf5e97883c98478023ef14417470dfc84ce10f2bc81d7db24222895781"}
+
+
+def test_pinned_argparse_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    invocations = _argparse_invocations()
+    for argv in invocations:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        record = [list(argv), code, captured.out, captured.err]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert len(invocations) == 46
+    if sys.version_info[:2] not in PINNED_ARGPARSE_SHA256:
+        pytest.skip(f"argparse output pinned only on {sorted(PINNED_ARGPARSE_SHA256)}")
+    assert digest.hexdigest() == PINNED_ARGPARSE_SHA256[sys.version_info[:2]]

@@ -1,6 +1,8 @@
-"""Laws shared by the sparse linear combinations: Morphism, KClass, KTensorClass, SchwartzFn."""
+"""Laws shared by the sparse linear combinations (Morphism, KClass, KTensorClass,
+SchwartzFn) and by the immutable values (Path, HalfOpenInterval, IntValuedPoly)."""
 
 import copy
+import dataclasses
 import inspect
 import pickle
 from fractions import Fraction as F
@@ -9,10 +11,10 @@ import pytest
 
 from delannoy import category, euler, kring, linalg, linear, paths
 from delannoy.category import Morphism
-from delannoy.euler import SchwartzFn
-from delannoy.kring import KClass, KTensorClass
+from delannoy.euler import HalfOpenInterval, SchwartzFn
+from delannoy.kring import IntValuedPoly, KClass, KTensorClass
 from delannoy.linear import number
-from delannoy.paths import Path
+from delannoy.paths import Path, enumerate_paths
 
 A = Path(2, ((1, 0), (0, 1)))
 B = Path(2, ((0, 1), (1, 0)))
@@ -172,6 +174,116 @@ def test_values_are_read_only(name):
         with pytest.raises(AttributeError):
             delattr(x, attr)
     assert x == make({keys[0]: 1, keys[1]: 2})
+
+
+# The immutable values are plain slotted classes; each must equal, hash, order
+# and print like the frozen dataclass with the same name and fields.
+DATACLASSES = {
+    Path: dataclasses.make_dataclass("Path", ["dim", "steps"], frozen=True, order=True),
+    HalfOpenInterval: dataclasses.make_dataclass(
+        "HalfOpenInterval", ["kind", "closed", "open_end"], frozen=True),
+    IntValuedPoly: dataclasses.make_dataclass("IntValuedPoly", ["coeffs"], frozen=True),
+}
+VALUES = {
+    Path: [Path(d, p.steps) for d, t in ((1, (2,)), (2, (1, 1)), (2, (2, 1)), (3, (1, 0, 1)))
+           for p in enumerate_paths(t)] + [Path(0, ()), Path(2, ())],
+    HalfOpenInterval: [HalfOpenInterval("b", 1, 0), HalfOpenInterval("b", F(1), None),
+                       HalfOpenInterval("w", F(1, 2), 3), HalfOpenInterval("w", 0, None),
+                       HalfOpenInterval("b", F(4, 2), F(-1, 3))],
+    IntValuedPoly: [IntValuedPoly(()), IntValuedPoly((0, 1)), IntValuedPoly((0, 0, 1)),
+                    IntValuedPoly((1, 2, 1))],
+}
+
+
+def _as_dataclass(value):
+    cls = DATACLASSES[type(value)]
+    return cls(*(getattr(value, f.name) for f in dataclasses.fields(cls)))
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+def test_values_match_their_dataclass(cls):
+    values = VALUES[cls]
+    for x in values:
+        old = _as_dataclass(x)
+        assert hash(x) == hash(old)
+        assert repr(x) == repr(old) or cls is Path
+        fields = dataclasses.astuple(old)
+        for y in values + [None, (), fields]:
+            assert (x == y) == (old == (_as_dataclass(y) if type(y) is cls else y))
+            assert (x != y) == (not x == y)
+    assert len(set(values)) == len(values)
+
+
+def test_path_equals_hashes_and_orders_as_its_pair():
+    ps = VALUES[Path]
+    for p in ps:
+        assert hash(p) == hash((p.dim, p.steps))
+        for q in ps:
+            pair, other = (p.dim, p.steps), (q.dim, q.steps)
+            assert (p == q, p < q, p <= q, p > q, p >= q) == \
+                (pair == other, pair < other, pair <= other, pair > other, pair >= other)
+            old_p, old_q = _as_dataclass(p), _as_dataclass(q)
+            assert (p < q, p <= q, p > q, p >= q) == \
+                (old_p < old_q, old_p <= old_q, old_p > old_q, old_p >= old_q)
+    assert sorted(ps, key=lambda p: (p.dim, p.steps)) == sorted(reversed(ps))
+    for target in ((2, 2), (3, 1), (1, 1, 1)):
+        enumerated = enumerate_paths(target)
+        assert list(enumerated) == sorted(enumerated) == sorted(reversed(enumerated))
+    p = ps[0]
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        assert getattr(p, op)((p.dim, p.steps)) is NotImplemented
+    with pytest.raises(TypeError):
+        p < (p.dim, p.steps)
+
+
+def test_path_repr():
+    assert repr(Path(2, ((1, 0), (1, 1)))) == "Path[(1, 0), (1, 1)]"
+    assert repr(Path(2, ())) == "Path[]"
+
+
+def test_path_normalises_and_checks_its_steps():
+    p = Path(2, [[1, 0], (0, 1)])
+    assert p.steps == ((1, 0), (0, 1)) and type(p.steps) is tuple
+    assert all(type(s) is tuple for s in p.steps)
+    assert p == Path(dim=2, steps=((1, 0), (0, 1)))
+    for dim, steps, message in ((2, [[1, 2]], "0-1 vector"), (2, [[0, 0]], "zero vector"),
+                                (2, [[1]], "dimension 2"), (-1, [], "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            Path(dim, steps)
+
+
+def test_half_open_interval_stores_numbers_and_checks_its_ends():
+    iv = HalfOpenInterval("b", F(4, 2), F(0))
+    assert (type(iv.closed), type(iv.open_end)) == (int, int)
+    assert iv == HalfOpenInterval(kind="b", closed=2, open_end=0)
+    assert hash(iv) == hash(("b", 2, 0))
+    assert repr(HalfOpenInterval("w", F(1, 2), None)) == \
+        "HalfOpenInterval(kind='w', closed=Fraction(1, 2), open_end=None)"
+    for args in (("x", 0, 1), ("b", 0, 1), ("w", 1, 0), ("w", 1, 1)):
+        with pytest.raises(ValueError):
+            HalfOpenInterval(*args)
+
+
+def test_int_valued_poly_equals_and_prints_like_a_record():
+    assert IntValuedPoly((0, 1)) == IntValuedPoly(coeffs=(0, 1)) != IntValuedPoly((0, 1, 0))
+    assert hash(IntValuedPoly((0, 1))) == hash(((0, 1),))
+    assert repr(IntValuedPoly((0, 0, 1))) == "IntValuedPoly(coeffs=(0, 0, 1))"
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+def test_values_are_immutable_and_survive_pickle_and_copy(cls):
+    for x in VALUES[cls]:
+        fields = [f.name for f in dataclasses.fields(DATACLASSES[cls])]
+        assert list(cls.__slots__) == fields
+        for name in fields + ["other"]:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert not hasattr(x, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(clone) is cls and clone == x and hash(clone) == hash(x)
+            assert [getattr(clone, n) for n in fields] == [getattr(x, n) for n in fields]
 
 
 # every public function or method annotated `-> Fraction`, called so that the
