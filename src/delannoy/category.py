@@ -21,15 +21,11 @@ node is (the coefficient of a path that ends there, or None; its sorted
 (step, child) edges), and equal nodes are interned once, so paths that share
 a suffix share its nodes.  The row of a node pair (u, v) sums, over every
 pair of suffixes below u and v, the signed lifts of the pair, keyed by
-projection.  It takes the moves `paths.lifts` takes (`_MOVES`): (0, 0, 1)
-when the p23 head is (0, 1), (1, 0, 0) when the p12 head is (1, 0), and the
-diagonal move when the heads meet on axis 2, which emits no projection step,
-and so flips the sign, exactly when it is (0, 1, 0).  Merging by projection
-is sound because two lifts of one pair of paths never share a projection:
-that holds when the moves that apply at any pair of heads emit distinct steps
-and the move with no projection applies alone, which `_check_moves` verifies
-on the table at import and raises InvariantError otherwise.  So each summand
-is c1 * c2 * eps(p1, p2, p3), and the row of the two roots is the
+projection.  It takes the lift moves of `paths._MOVES`, the table `lift3`
+walks: the move that emits no projection step flips the sign.  Merging by
+projection is sound because two lifts of one pair of paths never share a
+projection, which `paths._check_moves` verifies on the table at import.  So
+each summand is c1 * c2 * eps(p1, p2, p3), and the row of the two roots is the
 composition.  Both the graph build and the row recursion keep their own
 stacks.  Rows are memoised across calls by node pair, as immutable tuples;
 past `_ROWS_LIMIT` pairs (or nodes) the memo and the interning tables are
@@ -53,12 +49,11 @@ indicators; flipping either convention breaks those tests.
 
 from __future__ import annotations
 
-import itertools
 import threading
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 from .errors import InvariantError
 from .euler import (
@@ -74,6 +69,7 @@ from .linear import Combination, frac_str, json_field, json_int, parse_frac
 from .paths import (
     Path,
     Step,
+    _MOVES,
     _trusted_path,
     canonical_representative,
     check_weight,
@@ -89,39 +85,6 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
         return 0
     return -1 if (len(q) + len(p3)) % 2 else 1
 
-
-# Lift moves as (p12 step, p23 step, p13 step): the seven nonzero 3-bit steps
-# (a, b, c), each consuming (a, b) from p12, (b, c) from p23 and emitting (a, c)
-# into p13, with None where that projection is zero.  These are the three
-# kinds of step `paths.lifts` takes: (0, 0, 1), (1, 0, 0) and the diagonal.
-_MOVES = tuple(
-    tuple((x, y) if x or y else None for x, y in ((a, b), (b, c), (a, c)))
-    for a, b, c in itertools.product((0, 1), repeat=3)
-    if a or b or c
-)
-
-
-def _check_moves(moves: Sequence[tuple]) -> None:
-    """Raise InvariantError unless two lifts of one pair never share a projection.
-
-    Two different lifts of one pair agree up to their first different move,
-    and both of those moves apply at the same heads.  So their projections
-    differ if, at every pair of heads, the moves that apply emit pairwise
-    distinct steps and a move that emits nothing applies alone.  Every move
-    must consume a step, or a lift would never end.
-    """
-    if any(s12 is None and s23 is None for s12, s23, _ in moves):
-        raise InvariantError("a lift move consumes no step")
-    heads = (None, (0, 1), (1, 0), (1, 1))
-    for h12 in heads:
-        for h23 in heads:
-            emitted = [s13 for s12, s23, s13 in moves
-                       if s12 in (None, h12) and s23 in (None, h23)]
-            if len(set(emitted)) < len(emitted) or (None in emitted and len(emitted) > 1):
-                raise InvariantError(f"two lifts from heads {h12}, {h23} can share a projection")
-
-
-_check_moves(_MOVES)
 
 # Node pairs the row memo of `compose` keeps between calls.  A path-compose
 # benchmark round fills about 5 700, `export --table composition --n 4 --m 3`

@@ -18,7 +18,7 @@ from . import category, kring
 from .category import Morphism
 from .kring import KClass, KTensorClass
 from .linear import frac_str
-from .paths import Path, check_weight, delannoy_number, enumerate_paths, weights_up_to
+from .paths import Path, delannoy_number, enumerate_paths, weights_up_to
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -139,7 +139,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    _morphism_output(args, category.projector(check_weight(args.word)))
+    _morphism_output(args, category.projector(args.word))
     return 0
 
 
@@ -147,7 +147,7 @@ def cmd_trace(args) -> int:
     if args.morphism is not None:
         m = Morphism.loads(args.morphism)
     else:
-        m = category.projector(check_weight(args.word))
+        m = category.projector(args.word)
     value = category.trace(m)
     _emit(
         args,
@@ -174,22 +174,22 @@ def _emit_ktensor(args, t: KTensorClass) -> None:
 def cmd_ring(args) -> int:
     op = args.ring_op
     if op == "mul":
-        _emit_kclass(args, KClass.word(check_weight(args.x)) * KClass.word(check_weight(args.y)))
+        _emit_kclass(args, KClass.word(args.x) * KClass.word(args.y))
     elif op == "res":
-        _emit_ktensor(args, kring.restrict(KClass.word(check_weight(args.word))))
+        _emit_ktensor(args, kring.restrict(KClass.word(args.word)))
     elif op == "ind":
-        t = KTensorClass.pure(KClass.word(check_weight(args.x)), KClass.word(check_weight(args.y)))
+        t = KTensorClass.pure(KClass.word(args.x), KClass.word(args.y))
         _emit_kclass(args, kring.induce(t))
     elif op == "antipode":
-        _emit_kclass(args, kring.antipode(KClass.word(check_weight(args.word))))
+        _emit_kclass(args, kring.antipode(KClass.word(args.word)))
     elif op == "adams":
         if args.n < 1:
             raise ValueError("--n must be a positive Adams index")
-        _emit_kclass(args, kring.adams(KClass.word(check_weight(args.word)), args.n))
+        _emit_kclass(args, kring.adams(KClass.word(args.word), args.n))
     elif op == "schur":
         parts = _parse_partition(args.partition)
         poly = kring.schur_dimension_poly(parts)
-        value = kring.schur_apply(parts, KClass.word(check_weight(args.word)))
+        value = kring.schur_apply(parts, KClass.word(args.word))
         _emit(
             args,
             lambda: {
@@ -204,7 +204,7 @@ def cmd_ring(args) -> int:
             ],
         )
     elif op == "hilbert":
-        value = kring.hilbert_value(KClass.word(check_weight(args.word)), args.n)
+        value = kring.hilbert_value(KClass.word(args.word), args.n)
         _emit(
             args,
             lambda: {"word": args.word, "n": args.n, "value": frac_str(value)},

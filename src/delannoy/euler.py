@@ -32,10 +32,10 @@ that the intervals cover.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
 
 from .linear import Combination, Frozen, frac_str, json_field, json_int, number, parse_frac
 from .paths import check_weight
@@ -388,7 +388,7 @@ def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
     return SchwartzFn(f.arity - 1, f.breakpoints, coeffs)
 
 
-def integrate_fully(f: SchwartzFn, order: Optional[Sequence[int]] = None) -> Fraction:
+def integrate_fully(f: SchwartzFn, order: Sequence[int] | None = None) -> Fraction:
     """Integrate by iterated one-coordinate pushforwards, in any order."""
     g = f
     remaining = list(range(f.arity))
@@ -413,7 +413,7 @@ class HalfOpenInterval(Frozen):
     __slots__ = ("kind", "closed", "open_end")
 
     def __init__(self, kind: str, closed: int | Fraction,
-                 open_end: Optional[int | Fraction]) -> None:
+                 open_end: int | Fraction | None) -> None:
         if kind not in ("b", "w"):
             raise ValueError("kind must be 'b' (right-closed) or 'w' (left-closed)")
         closed = number(closed)

@@ -26,11 +26,11 @@ that must be integral raise `InvariantError` if they are not.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from numbers import Rational
-from typing import Iterable, Sequence
 
 from .errors import InvariantError
 from .linear import Combination, Frozen, frac_str, json_field, parse_frac

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
 
 from .errors import InvariantError
 

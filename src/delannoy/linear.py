@@ -20,9 +20,9 @@ than dataclasses so that importing the package does not load `dataclasses`.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Optional
 
 
 def number(value) -> int | Fraction:
@@ -59,7 +59,7 @@ def json_int(value) -> int:
     return value
 
 
-def json_field(data, name: str, convert: Optional[Callable] = None):
+def json_field(data, name: str, convert: Callable | None = None):
     """`convert(data[name])` for a JSON object; ValueError naming the field otherwise."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with field {name!r}, got {type(data).__name__}")

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
-from typing import Optional, Sequence
 
 from .errors import InvariantError
 from .linear import Frozen, json_field, json_int
@@ -114,9 +114,9 @@ def _trusted_path(dim: int, steps: tuple[Step, ...]) -> Path:
     """A Path built without validation, for the engine's own hot loops.
 
     Only for steps taken from a valid step table: the nonzero 0-1 steps of
-    `_nonzero_steps(dim)`, the nonzero 3-bit steps of a lift found by
-    `lifts`, or their nonzero (a, c) projections.  The result equals, hashes
-    and orders like `Path(dim, steps)`.
+    `_nonzero_steps(dim)`, the 3-bit steps of the moves of `_MOVES` that
+    `lift3` takes, or the nonzero projections those moves emit.  The result
+    equals, hashes and orders like `Path(dim, steps)`.
     """
     p = object.__new__(Path)
     object.__setattr__(p, "dim", dim)
@@ -204,56 +204,48 @@ def project_path(p: Path, axes: Sequence[int]) -> Path:
     return Path(len(axes), tuple(steps))
 
 
-def lifts(p12: Path, p23: Path) -> list[tuple[tuple[Step, ...], tuple[Step, ...]]]:
-    """Every 3-dimensional path q with projections p12 on axes (1, 2) and p23
-    on axes (2, 3), as pairs (steps of q, steps of its projection p13).
+# Lift moves as (p12 step, p23 step, p13 step): the seven nonzero 3-bit steps
+# (a, b, c), each consuming (a, b) from p12, (b, c) from p23 and emitting (a, c)
+# into p13, with None where that projection is zero.  `lift3` and
+# `category.compose` both walk this table.
+_MOVES = tuple(
+    tuple((x, y) if x or y else None for x, y in ((a, b), (b, c), (a, c)))
+    for a, b, c in itertools.product((0, 1), repeat=3)
+    if a or b or c
+)
 
-    From the heads h12, h23 of what is left of p12 and p23, only three steps
-    are possible: (0, 0, 1) if h23 = (0, 1), (1, 0, 0) if h12 = (1, 0), and
-    (h12[0], h12[1], h23[1]) if h12[1] = h23[0]; the last consumes both heads.
-    Each is one of the seven nonzero 3-bit steps.  When p12 and p23 have the
-    same extent on axis 2, at least one of them applies until both paths are
-    used up, so every branch of the search ends in a lift.  The search keeps
-    its own stack, so long paths do not run into the recursion limit.
+
+def _check_moves(moves: Sequence[tuple]) -> None:
+    """Raise InvariantError unless two lifts of one pair never share a projection.
+
+    Two different lifts of one pair agree up to their first different move,
+    and both of those moves apply at the same heads.  So their projections
+    differ if, at every pair of heads, the moves that apply emit pairwise
+    distinct steps and a move that emits nothing applies alone.  Every move
+    must consume a step, or a lift would never end.
     """
-    if p12.dim != 2 or p23.dim != 2:
-        raise ValueError("lifts expects 2-dimensional paths")
-    s12, s23 = p12.steps, p23.steps
-    n12, n23 = len(s12), len(s23)
-    found = []
-    lift: list[Step] = []
-    proj: list[Step] = []
-    # (i12, i23, length of lift, length of proj) before the step; the step; its projection.
-    todo: list = [(0, 0, 0, 0, None, None)]
-    while todo:
-        i12, i23, k, j, step, pstep = todo.pop()
-        del lift[k:], proj[j:]
-        if step is not None:
-            lift.append(step)
-            if pstep is not None:
-                proj.append(pstep)
-        h12 = s12[i12] if i12 < n12 else None
-        h23 = s23[i23] if i23 < n23 else None
-        if h12 is None and h23 is None:
-            found.append((tuple(lift), tuple(proj)))
-            continue
-        k, j = len(lift), len(proj)
-        if h23 == (0, 1):
-            todo.append((i12, i23 + 1, k, j, (0, 0, 1), (0, 1)))
-        if h12 == (1, 0):
-            todo.append((i12 + 1, i23, k, j, (1, 0, 0), (1, 0)))
-        if h12 is not None and h23 is not None and h12[1] == h23[0]:
-            a, c = h12[0], h23[1]
-            todo.append((i12 + 1, i23 + 1, k, j, (a, h12[1], c), (a, c) if a or c else None))
-    return found
+    if any(s12 is None and s23 is None for s12, s23, _ in moves):
+        raise InvariantError("a lift move consumes no step")
+    heads = (None, (0, 1), (1, 0), (1, 1))
+    for h12 in heads:
+        for h23 in heads:
+            emitted = [s13 for s12, s23, s13 in moves
+                       if s12 in (None, h12) and s23 in (None, h23)]
+            if len(set(emitted)) < len(emitted) or (None in emitted and len(emitted) > 1):
+                raise InvariantError(f"two lifts from heads {h12}, {h23} can share a projection")
 
 
-def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
+_check_moves(_MOVES)
+
+
+def lift3(p12: Path, p23: Path, p13: Path) -> Path | None:
     """The unique 3-dimensional path projecting to (p12, p23, p13), or None.
 
-    Picks, among the lifts of (p12, p23), the ones that project to p13, and
-    raises InvariantError if there is more than one; uniqueness always
-    holds, but it is checked rather than assumed.
+    Walks the three paths at once.  At each step it takes the move of
+    `_MOVES` that applies at the heads of p12 and p23 and emits the head of
+    p13, or the move that emits nothing, which `_check_moves` guarantees
+    applies alone.  So at most one move matches; uniqueness always holds, but
+    two matching moves raise InvariantError rather than being assumed away.
     """
     if p12.dim != 2 or p23.dim != 2 or p13.dim != 2:
         raise ValueError("lift3 expects 2-dimensional paths")
@@ -264,10 +256,24 @@ def lift3(p12: Path, p23: Path, p13: Path) -> Optional[Path]:
         raise ValueError(
             f"inconsistent targets {p12.target}, {p23.target}, {p13.target}"
         )
-    solutions = [q for q, proj in lifts(p12, p23) if proj == p13.steps]
-    if len(solutions) > 1:
-        raise InvariantError(f"{len(solutions)} lifts of {p12}, {p23}, {p13}")
-    return _trusted_path(3, solutions[0]) if solutions else None
+    # Each path ends in None, its head once it is used up.
+    s12, s23, s13 = p12.steps + (None,), p23.steps + (None,), p13.steps + (None,)
+    i = j = k = 0
+    steps: list[Step] = []
+    while s12[i] or s23[j]:
+        found = [move for move in _MOVES if move[0] in (None, s12[i])
+                 and move[1] in (None, s23[j]) and move[2] in (None, s13[k])]
+        if not found:
+            return None
+        if len(found) > 1:
+            raise InvariantError(f"{len(found)} lift moves match {p12}, {p23}, {p13}")
+        (m12, m23, m13), = found
+        i += m12 is not None
+        j += m23 is not None
+        k += m13 is not None
+        (a, b), (b2, c) = m12 or (0, 0), m23 or (0, 0)
+        steps.append((a, b | b2, c))
+    return None if s13[k] else _trusted_path(3, tuple(steps))
 
 
 def encode_orbit(x: Sequence[Fraction], y: Sequence[Fraction]) -> Path:

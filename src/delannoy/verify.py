@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
 
 from . import category, euler, kring
 from .category import Morphism

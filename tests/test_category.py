@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delannoy import category as category_module
+from delannoy import paths as paths_module
 from delannoy.category import (
     Morphism,
     _compose_basis,
@@ -111,7 +112,7 @@ class TestComposition:
     def test_two_lifts_with_one_projection_raise(self):
         # uniqueness is checked on the move table, not assumed: a table that
         # lets two lifts of one pair share a projection is caught
-        check, moves = category_module._check_moves, category_module._MOVES
+        check, moves = paths_module._check_moves, paths_module._MOVES
         check(moves)
         assert len(moves) == 7 and ((0, 1), (1, 0), None) in moves
         mutants = [

@@ -32,13 +32,14 @@ def _run_process(*argv):
 
 def test_import_set():
     # what a CLI process loads before it parses its command line: the engine
-    # layers, but neither the verification suites nor csv nor dataclasses
+    # layers, but neither the verification suites nor csv, dataclasses or
+    # typing; -S keeps site's .pth files, which may import typing, out of it
     src = os.path.dirname(os.path.dirname(delannoy.__file__))
     code = "import sys, delannoy.cli; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
-    assert not loaded & {"dataclasses", "inspect", "csv", "delannoy.verify"}
+    assert not loaded & {"dataclasses", "inspect", "csv", "typing", "delannoy.verify"}
     engine = {f"delannoy.{m}" for m in ("paths", "euler", "category", "kring", "linalg", "cli")}
     assert engine <= loaded
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy import paths as paths_module
-from delannoy.category import _compose_basis
+from delannoy.category import _compose_basis, epsilon
 from delannoy.errors import InvariantError
 from delannoy.paths import (
     Path,
@@ -18,7 +18,6 @@ from delannoy.paths import (
     encode_orbit,
     enumerate_paths,
     lift3,
-    lifts,
     project_path,
 )
 
@@ -174,24 +173,24 @@ class TestLift3:
                         )
 
     def test_two_lifts_with_one_projection_raise(self, monkeypatch):
-        # uniqueness is checked, not assumed: a search that reports a lift twice is caught
-        monkeypatch.setattr(paths_module, "lifts", lambda p12, p23: lifts(p12, p23) * 2)
+        # uniqueness is checked, not assumed: a table with every move twice is caught
+        monkeypatch.setattr(paths_module, "_MOVES", paths_module._MOVES * 2)
         diag = Path(2, ((1, 1),))
         with pytest.raises(InvariantError):
             lift3(diag, diag, diag)
 
-    def test_lifts_are_the_brute_force_lifts(self):
-        # every 3-D path whose (1, 2) and (2, 3) projections are (p12, p23), once each
-        for n, m, l in itertools.product(range(3), repeat=3):
-            cube = enumerate_paths((n, m, l))
-            for p12 in enumerate_paths((n, m)):
-                for p23 in enumerate_paths((m, l)):
-                    want = sorted(
-                        (q.steps, project_path(q, (0, 2)).steps)
-                        for q in cube
-                        if project_path(q, (0, 1)) == p12 and project_path(q, (1, 2)) == p23
-                    )
-                    assert sorted(lifts(p12, p23)) == want
+    def test_long_random_lifts(self):
+        # the walk is linear in path length and keeps no stack: a random 3-D
+        # path of up to 1200 steps is recovered from its three projections
+        rng = random.Random(11)
+        steps3 = [s for s in itertools.product((0, 1), repeat=3) if any(s)]
+        for _ in range(20):
+            q = Path(3, [rng.choice(steps3) for _ in range(rng.randint(200, 1200))])
+            p12, p23, p13 = (project_path(q, axes) for axes in ((0, 1), (1, 2), (0, 2)))
+            assert lift3(p12, p23, p13) == q
+        zigzag = Path(2, ((1, 0), (0, 1)) * 12)
+        assert epsilon(zigzag, zigzag, zigzag) == 1
+        assert lift3(zigzag, zigzag, zigzag) == Path(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)) * 12)
 
     def test_random_triples_consistency(self):
         rng = random.Random(7)
