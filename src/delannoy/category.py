@@ -14,7 +14,9 @@ projections p12=p1, p23=p2, p13=p3 exists (axis 1 = output of the first
 factor, axis 2 = the shared middle, axis 3 = input of the second), and 0
 otherwise.  The same coefficients arise by multiplying the kernels under
 Euler-characteristic integration; compose_oracle computes them that way, and
-the two routes are checked against each other in the test suite.
+the two routes are checked against each other in the test suite.  That route
+pairs kernel slices as raw cells (slot spans over the union of breakpoints),
+not as SchwartzFn objects, and merges breakpoints once per output cell.
 
 `compose` works on whole morphisms.  Each operand becomes a suffix graph: a
 node is (the coefficient of a path that ends there, or None; its sorted
@@ -50,7 +52,7 @@ indicators; flipping either convention breaks those tests.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -59,11 +61,13 @@ from .errors import InvariantError
 from .euler import (
     SchwartzFn,
     Signature,
+    _merge_points,
+    _pair_spans,
+    _slot_spans,
     cell_representative,
     indicator_of_cell,
     iter_signatures,
     key_indicator,
-    pair_total,
 )
 from .linear import Combination, frac_str, json_field, json_int, parse_frac
 from .paths import (
@@ -71,7 +75,6 @@ from .paths import (
     Step,
     _MOVES,
     _trusted_path,
-    canonical_representative,
     check_weight,
     enumerate_paths,
     lift3,
@@ -372,19 +375,40 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
 
     The product kernel is constant on each orbit, so its coefficient on a
     basis path p3 is read off at the canonical representative (z, x) of O_p3:
-    pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x).
+    pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x).  The
+    points of z and x are 1, ..., len(p3) together, so over their union the
+    k-th step of p3 is slot 2k - 1, and each slice is one cell over it.
     """
     n, m1 = p1.target
     m2, l = p2.target
     if m1 != m2:
         raise ValueError(f"inner targets differ: {p1.target} vs {p2.target}")
+    sig1, sig2 = _slice_signature(p1, 1), _slice_signature(p2, 2)
     coeffs: dict[Path, int | Fraction] = {}
     for p3 in enumerate_paths((n, l)):
-        z, x = canonical_representative(p3)
-        left = slice_kernel(p1, z, axis=1)
-        right = slice_kernel(p2, x, axis=2)
-        coeffs[p3] = pair_total(left, right)
+        steps = p3.steps
+        spans_z = _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], 2 * len(steps))
+        spans_x = _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], 2 * len(steps))
+        coeffs[p3] = _pair_spans([([spans_z[s] for s in sig1], 1)],
+                                 [([spans_x[t] for t in sig2], 1)])
     return Morphism(n, l, coeffs)
+
+
+def _slice_pairings(paths: Sequence[Path], out_arity: int,
+                    phi: SchwartzFn) -> Iterator[tuple[Signature, list]]:
+    """For each output cell over phi's breakpoints, the pairing of every
+    path's slice y -> A_p(x, y) with phi, at the cell's representative x.
+
+    The representative, its merge with phi's breakpoints and phi's spans are
+    computed once per output cell, for all the paths.
+    """
+    bp = phi.breakpoints
+    sigs = [_slice_signature(p, 1) for p in paths]
+    for sig in iter_signatures(out_arity, len(bp)):
+        points_x, points_phi, top = _merge_points(cell_representative(bp, sig), bp)
+        spans_x, spans_phi = _slot_spans(points_x, top), _slot_spans(points_phi, top)
+        right = [([spans_phi[t] for t in b], d) for b, d in phi.coeffs.items()]
+        yield sig, [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
 
 
 def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
@@ -395,16 +419,12 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     """
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
-    bp = phi.breakpoints
     coeffs: dict[Signature, int | Fraction] = {}
-    for sig in iter_signatures(f.out_arity, len(bp)):
-        x_out = cell_representative(bp, sig)
-        val = 0
-        for p, c in f.coeffs.items():
-            val += c * pair_total(slice_kernel(p, x_out, axis=1), phi)
+    for sig, values in _slice_pairings(list(f.coeffs), f.out_arity, phi):
+        val = sum(map(mul, f.coeffs.values(), values))
         if val:
             coeffs[sig] = val
-    return SchwartzFn(f.out_arity, bp, coeffs)
+    return SchwartzFn(f.out_arity, phi.breakpoints, coeffs)
 
 
 def projector(word: str) -> Morphism:
@@ -453,23 +473,17 @@ def multiplicity_rank(word: str, m: int) -> int:
 
     Realized as the rank of the idempotent e(x) = apply_kernel(
     invariant_extension(x), key_indicator(word, a)) acting on the span of the
-    cells of arity m over n = len(word) breakpoints.  Idempotency is checked;
-    the rank of an idempotent is its trace, which must come out integral.
+    cells of arity m over n = len(word) breakpoints, read in one pass over the
+    cells' paths.  Idempotency is checked; the rank of an idempotent is its
+    trace, which must come out integral.
     """
     check_weight(word)
     n = len(word)
-    a = tuple(range(1, n + 1))
-    psi = key_indicator(word, a)
-    basis = sorted(iter_signatures(m, n))
-    index = {sig: i for i, sig in enumerate(basis)}
-    cols: list[list[int | Fraction]] = []
-    for sig in basis:
-        image = apply_kernel(invariant_extension(indicator_of_cell(m, a, sig)), psi)
-        col = [0] * len(basis)
-        for out_sig, c in image.coeffs.items():
-            col[index[out_sig]] = c
-        cols.append(col)
-    rows = [list(row) for row in zip(*cols)]
+    psi = key_indicator(word, tuple(range(1, n + 1)))
+    paths = [_cell_to_path(sig, n) for sig in iter_signatures(m, n)]
+    # rows come in the order of iter_signatures, the order of the columns
+    rows = [row for _, row in _slice_pairings(paths, m, psi)]
+    cols = [list(col) for col in zip(*rows)]
     square = [[sum(map(mul, row, col)) for col in cols] for row in rows]
     if square != rows:
         raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")

@@ -32,7 +32,7 @@ that the intervals cover.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -351,13 +351,19 @@ def pair_total(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
     points_f, points_g, top = _merge_points(f.breakpoints, g.breakpoints)
     spans_f = _slot_spans(points_f, top)
     spans_g = _slot_spans(points_g, top)
-    right = [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()]
+    left = (([spans_f[s] for s in a], c) for a, c in f.coeffs.items())
+    return _pair_spans(left, [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()])
+
+
+def _pair_spans(left: Iterable[tuple[list, int | Fraction]],
+                right: list[tuple[list, int | Fraction]]) -> int | Fraction:
+    """The pairing of two sets of cells, each given as the spans of its slots
+    over one common set of breakpoints, with its coefficient."""
     total = 0
-    for a, c in f.coeffs.items():
-        left = [spans_f[s] for s in a]
-        for spans, d in right:
+    for a, c in left:
+        for b, d in right:
             sign = 1
-            for (lo, hi), (lo2, hi2) in zip(left, spans):
+            for (lo, hi), (lo2, hi2) in zip(a, b):
                 if lo2 > lo:
                     lo = lo2
                 if hi2 < hi:

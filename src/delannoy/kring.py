@@ -269,14 +269,11 @@ def dual(x: KClass) -> KClass:
     return KClass({w.translate(table): c for w, c in x.coeffs.items()})
 
 
-def inner(x: KClass, y: KClass) -> Fraction:
+def inner(x: KClass | KTensorClass, y: KClass | KTensorClass) -> Fraction:
     """The pairing making the words (or the pairs of words) an orthonormal basis."""
     small, large = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
     other = large.coeffs
     return Fraction(sum(c * other[w] for w, c in small.coeffs.items() if w in other))
-
-
-inner_tensor = inner
 
 
 def _binomial_chain(x: KClass, top: int) -> list[KClass]:

@@ -197,9 +197,9 @@ def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None
                 ok = False
     report.add("rank equals binom(m, len) for m <= 3", ok)
     ok = all(
-        category.multiplicity_rank(word, 4) == comb(4, len(word)) for word in weights_up_to(2)
+        category.multiplicity_rank(word, 4) == comb(4, len(word)) for word in weights_up_to(3)
     )
-    report.add("rank equals binom(4, len) for words of length <= 2", ok)
+    report.add("rank equals binom(4, len) for words of length <= 3", ok)
     ok = all(
         sum(category.multiplicity_rank(w, n) for w in weights_up_to(n)) == 3**n
         for n in range(4)
@@ -383,7 +383,7 @@ def suite_branching(report: VerificationReport, rng: random.Random) -> None:
         for v in words2:
             t = KTensorClass.pure(KClass.word(u), KClass.word(v))
             for z in words2:
-                if kring.inner(kring.induce(t), KClass.word(z)) != kring.inner_tensor(
+                if kring.inner(kring.induce(t), KClass.word(z)) != kring.inner(
                     t, kring.restrict(KClass.word(z))
                 ):
                     ok = False

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,13 +27,24 @@ from delannoy.category import (
 )
 from delannoy.euler import (
     SchwartzFn,
+    cell_representative,
+    indicator_of_cell,
     integrate,
     iter_signatures,
     key_indicator,
+    pair,
     point_mass,
 )
 from delannoy.errors import InvariantError
-from delannoy.paths import Path, all_weights, enumerate_paths, lift3
+from delannoy.linalg import matrix_rank
+from delannoy.paths import (
+    Path,
+    all_weights,
+    canonical_representative,
+    enumerate_paths,
+    lift3,
+    weights_up_to,
+)
 
 F = Fraction
 
@@ -455,6 +467,61 @@ class TestInvariantExtension:
             }
             x = SchwartzFn(arity, a, coeffs)
             assert apply_kernel(invariant_extension(x), point_mass(a)) == x
+
+
+@st.composite
+def morphism_and_function(draw, max_arity=3):
+    """A sparse morphism to (n, m) and a function of arity m on 0-3 breakpoints,
+    with Fraction coefficients and integer or half-integer breakpoints."""
+    n, m = draw(st.integers(0, max_arity)), draw(st.integers(0, max_arity))
+    bp = sorted(draw(st.sets(st.sampled_from([F(k, 2) for k in range(-4, 5)]), max_size=3)))
+    sigs = list(iter_signatures(m, len(bp)))
+    cells = draw(st.lists(st.sampled_from(sigs), max_size=6, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return draw(sparse_morphism(n, m)), SchwartzFn(m, bp, {s: draw(coeffs) for s in cells})
+
+
+class TestRawCellPairings:
+    """The slices paired as raw cells, against the slices built as SchwartzFn objects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(morphism_and_function())
+    @example((projector("bw") * F(1, 2), key_indicator("bw", (F(-1, 2), F(3, 2)))))
+    def test_apply_kernel_matches_slice_objects(self, fphi):
+        f, phi = fphi
+        bp = phi.breakpoints
+        got = apply_kernel(f, phi)
+        assert got.breakpoints == bp
+        for sig in iter_signatures(f.out_arity, len(bp)):
+            x = cell_representative(bp, sig)
+            want = sum(c * pair(slice_kernel(p, x, axis=1), phi) for p, c in f.coeffs.items())
+            assert got.value_at_cell(sig) == want
+
+    def test_oracle_matches_slice_objects_exhaustive(self):
+        # every pair of paths with arities <= 3, on every p3 of the row
+        for n, m, l in itertools.product(range(4), repeat=3):
+            reps = [(p3, canonical_representative(p3)) for p3 in enumerate_paths((n, l))]
+            right = {p2: [slice_kernel(p2, x, axis=2) for _, (_, x) in reps]
+                     for p2 in enumerate_paths((m, l))}
+            for p1 in enumerate_paths((n, m)):
+                left = [slice_kernel(p1, z, axis=1) for _, (z, _) in reps]
+                for p2, slices in right.items():
+                    got = compose_oracle(p1, p2)
+                    for (p3, _), a, b in zip(reps, left, slices):
+                        assert got.coeffs.get(p3, 0) == pair(a, b)
+
+    def test_multiplicity_matches_column_by_column_apply_kernel(self):
+        for word in weights_up_to(2):
+            n = len(word)
+            a = tuple(range(1, n + 1))
+            psi = key_indicator(word, a)
+            for m in range(4):
+                basis = list(iter_signatures(m, n))
+                cols = []
+                for sig in basis:
+                    image = apply_kernel(invariant_extension(indicator_of_cell(m, a, sig)), psi)
+                    cols.append([image.value_at_cell(out) for out in basis])
+                assert multiplicity_rank(word, m) == matrix_rank(cols) == comb(m, n)
 
 
 class TestMultiplicityRank:

@@ -26,7 +26,6 @@ from delannoy.kring import (
     hilbert_value,
     induce,
     inner,
-    inner_tensor,
     is_lyndon,
     lambda_binomial,
     line_class,
@@ -318,7 +317,7 @@ class TestInductionRestriction:
             for v in weights_up_to(2):
                 t = KTensorClass.pure(word(u), word(v))
                 for z in weights_up_to(2):
-                    assert inner(induce(t), word(z)) == inner_tensor(
+                    assert inner(induce(t), word(z)) == inner(
                         t, restrict(word(z))
                     )
 

@@ -299,8 +299,6 @@ SCALAR_CALLS = {
     "trace": (lambda: category.trace(category.projector("b")), -1),
     "counit": (lambda: kring.counit(KClass.word("bw")), 1),
     "inner": (lambda: kring.inner(KClass.word("b"), KClass.word("b")), 1),
-    "inner_tensor": (lambda: kring.inner_tensor(KTensorClass({("b", ""): 2}),
-                                                KTensorClass({("b", ""): F(1, 2)})), 1),
     "binom_at": (lambda: kring.binom_at(4, 2), 6),
     "IntValuedPoly.evaluate": (lambda: kring.IntValuedPoly((0, 1)).evaluate(5), 5),
     "hilbert_value": (lambda: kring.hilbert_value(KClass.word("bw"), 4), 6),

@@ -156,17 +156,15 @@ class TestLift3:
     def test_exhaustive_uniqueness_small(self):
         # the search finds exactly the brute-force solution set, never two
         for n, m, l in itertools.product(range(3), repeat=3):
-            cube = enumerate_paths((n, m, l))
+            # the cube grouped by its three projections, once per target
+            by_projections = {}
+            for q in enumerate_paths((n, m, l)):
+                key = (project_path(q, (0, 1)), project_path(q, (1, 2)), project_path(q, (0, 2)))
+                by_projections.setdefault(key, []).append(q)
             for p12 in enumerate_paths((n, m)):
                 for p23 in enumerate_paths((m, l)):
                     for p13 in enumerate_paths((n, l)):
-                        matches = [
-                            q
-                            for q in cube
-                            if project_path(q, (0, 1)) == p12
-                            and project_path(q, (1, 2)) == p23
-                            and project_path(q, (0, 2)) == p13
-                        ]
+                        matches = by_projections.get((p12, p23, p13), [])
                         assert len(matches) <= 1
                         assert lift3(p12, p23, p13) == (
                             matches[0] if matches else None
