@@ -55,7 +55,7 @@ import threading
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .errors import InvariantError
 from .euler import (
@@ -229,6 +229,13 @@ class _Engine:
 _ENGINE = _Engine()
 
 
+def _arity(n) -> int:
+    """n as an arity; ValueError unless it is a non-negative integer."""
+    if not hasattr(n, "__index__") or n < 0:
+        raise ValueError(f"arity must be a non-negative integer, got {n!r}")
+    return index(n)
+
+
 @lru_cache(maxsize=None)
 def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
     """Row of structure constants for a pair of basis paths, as (p3, sign) pairs."""
@@ -241,8 +248,8 @@ class Morphism(Combination):
     __slots__ = ("out_arity", "in_arity")
 
     def __init__(self, out_arity: int, in_arity: int, coeffs: dict[Path, Fraction]):
-        object.__setattr__(self, "out_arity", int(out_arity))
-        object.__setattr__(self, "in_arity", int(in_arity))
+        object.__setattr__(self, "out_arity", _arity(out_arity))
+        object.__setattr__(self, "in_arity", _arity(in_arity))
         super().__init__(coeffs)
 
     def _check_key(self, p: Path) -> Path:
@@ -298,12 +305,12 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             engine.clear()
         row = engine.row((engine.graph(f), engine.graph(g)))
         coeffs = {engine.path(s): c for s, c in row}
-    return Morphism(f.out_arity, g.in_arity, coeffs)
+    return Morphism._trusted(f.out_arity, g.in_arity, coeffs)
 
 
 def identity(n: int) -> Morphism:
     """The all-diagonal path: the indicator of the diagonal as a kernel."""
-    diag = Path(2, ((1, 1),) * n)
+    diag = Path(2, ((1, 1),) * _arity(n))
     return Morphism.basis(diag)
 
 

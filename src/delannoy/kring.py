@@ -199,7 +199,7 @@ def tensor_mul(x: KClass, y: KClass) -> KClass:
             scale = cu * cv
             for w, c in _tensor_basis(u, v):
                 coeffs[w] = coeffs.get(w, 0) + scale * c
-    return KClass(coeffs)
+    return KClass._trusted(coeffs)
 
 
 def line_class() -> KClass:
@@ -260,7 +260,7 @@ def antipode(x: KClass) -> KClass:
     for w, c in x.coeffs.items():
         for v, d in _antipode_word(w):
             out[v] = out.get(v, 0) + c * d
-    return KClass(out)
+    return KClass._trusted(out)
 
 
 def dual(x: KClass) -> KClass:

@@ -101,18 +101,37 @@ class Combination(Frozen):
     them in a read-only `coeffs` mapping; no attribute can be set afterwards.
     Operands of `+`, `-` and `==` are brought to one space by `_align`;
     results are built by `_new`, so through the subclass's `__init__`.
+    `_trusted` builds the engine's results without the space and key checks,
+    but with the number rule, and drops zero terms.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None) -> None:
-        check = self._check_key
+        self._store(coeffs or {}, self._check_key)
+
+    @classmethod
+    def _trusted(cls, *args):
+        """`cls(*args)` for the engine's own results, like `paths._trusted_path`.
+
+        The space arguments and the keys are stored unchecked, so only for keys
+        the engine made in that space.  The number rule still holds (a sum of
+        Fractions can be integral), and zero terms are still dropped.
+        """
+        *space, coeffs = args
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, space):
+            object.__setattr__(self, name, value)
+        self._store(coeffs, None)
+        return self
+
+    def _store(self, coeffs: dict, check: Callable | None) -> None:
         clean = {}
-        for k, c in (coeffs or {}).items():
+        for k, c in coeffs.items():
             if type(c) is not int:
                 c = number(c)
             if c:
-                clean[check(k)] = c
+                clean[check(k) if check else k] = c
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def __reduce__(self):

@@ -10,7 +10,9 @@ to right and emit (1, 0) for a lone x-point, (0, 1) for a lone y-point, and
 (1, 1) for a shared point.  Only the order type matters, so each path has a
 canonical representative placing the merged points at 1, 2, ..., len(path).
 
-All values here are immutable and hashable; every function is pure.
+`enumerate_paths` lists the paths to a target depth first, down to the
+cached paths of small targets (coordinate sum at most `_TAIL`).  All values
+here are immutable and hashable; every function is pure.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Path(Frozen):
         if dim < 0:
             raise ValueError("dimension must be non-negative")
         steps = tuple(tuple(s) for s in steps)
-        for step in steps:
+        for step in dict.fromkeys(steps):  # each distinct step once, the first bad one first
             _check_step(step, dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "steps", steps)
@@ -133,40 +135,51 @@ def _nonzero_steps(dim: int) -> list[Step]:
     return out
 
 
+_TAIL = 5  # coordinate sum up to which `enumerate_paths` builds a target by first step
+
+
 @lru_cache(maxsize=None)
 def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
     """All Delannoy paths with the given target, sorted by step sequence.
 
     The empty target (dimension 0) and the zero target both yield the single
-    empty path.
+    empty path.  A target whose coordinate sum is at most `_TAIL` is built by
+    first step, from the cached paths to what is left.  A larger one is
+    searched depth first, on an explicit stack, over the points above `_TAIL`;
+    at the first point `left` at or below it, the cached paths to `left` are
+    appended to the steps taken.  So the work stays linear in the output, no
+    recursion grows with the target, and the cache gains only small points.
     """
     target = tuple(int(a) for a in target)
     if any(a < 0 for a in target):
         raise ValueError("target entries must be non-negative")
     dim = len(target)
     steps = _nonzero_steps(dim)
-    # For every point below the target: the steps that fit, each with what is
-    # left after it; none fit at the zero point.
+    if sum(target) <= _TAIL:
+        return tuple(
+            _trusted_path(dim, (s,) + p.steps) for s in steps
+            if all(c <= a for c, a in zip(s, target))
+            for p in enumerate_paths(tuple(map(sub, target, s)))
+        ) or (_trusted_path(dim, ()),)
+    # For every point above `_TAIL`: the steps that fit, each with what is left.
     children = {
         left: [(s, tuple(map(sub, left, s))) for s in steps
                if all(c <= l for c, l in zip(s, left))]
         for left in itertools.product(*(range(a + 1) for a in target))
+        if sum(left) > _TAIL
     }
-    if not children[target]:
-        return (_trusted_path(dim, ()),)
-    # Depth first over the children in order, so paths come out sorted, on
-    # its own stack of child iterators, so long paths do not run into the
-    # recursion limit.
+    # Depth first over the children in order, so paths come out sorted.
     out: list[Path] = []
     prefix: list[Step] = []
     stack = [iter(children[target])]
     while stack:
         for s, left in stack[-1]:
             prefix.append(s)
-            if children[left]:
+            if left in children:
                 stack.append(iter(children[left]))
                 break
-            out.append(_trusted_path(dim, tuple(prefix)))
+            head = tuple(prefix)
+            out += [_trusted_path(dim, head + p.steps) for p in enumerate_paths(left)]
             prefix.pop()
         else:
             stack.pop()

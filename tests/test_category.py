@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -264,6 +266,59 @@ class TestCompositionProperties:
         for x in (f, g, h):
             assert identity(x.out_arity) @ x == x
             assert x @ identity(x.in_arity) == x
+
+
+def assert_same_as_checked(h):
+    """A result built by the trusted constructor equals its checked rebuild, number types too."""
+    rebuilt = Morphism(h.out_arity, h.in_arity, dict(h.coeffs))
+    assert h == rebuilt and type(h.out_arity) is type(h.in_arity) is int
+    assert {p: type(c) for p, c in h.coeffs.items()} == {p: type(c) for p, c in rebuilt.coeffs.items()}
+    assert all(h.coeffs.values())
+    with pytest.raises(TypeError):
+        h.coeffs[DIAG] = 1
+    for attr in ("coeffs", "out_arity", "in_arity"):
+        with pytest.raises(AttributeError):
+            setattr(h, attr, getattr(h, attr))
+    for clone in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        assert type(clone) is Morphism and clone == h and clone._space() == h._space()
+
+
+class TestTrustedResults:
+    @settings(max_examples=60, deadline=None)
+    @given(composable_morphisms(max_arity=3))
+    def test_compose_equals_checked_rebuild(self, pair):
+        f, g = pair
+        assert_same_as_checked(compose(f, g))
+
+    def test_halves_summing_to_one_are_int(self):
+        # B o B = -B and A o B = -B - A - DIAG, so the halves of B sum to -1
+        h = compose(Morphism(1, 1, {B: F(1, 2), A: F(1, 2)}), basis(B))
+        assert dict(h.coeffs) == {B: -1, A: F(-1, 2), DIAG: F(-1, 2)}
+        assert type(h.coeffs[B]) is int
+        assert_same_as_checked(h)
+
+    def test_cancelled_terms_are_dropped(self):
+        h = compose(Morphism(1, 1, {B: F(1), A: F(-1)}), basis(B))
+        assert dict(h.coeffs) == {A: 1, DIAG: 1}
+        assert_same_as_checked(h)
+
+
+class TestArities:
+    @pytest.mark.parametrize("bad", [-1, -3, 2.7, 2.0, "2", None])
+    def test_identity_and_morphism_reject_bad_arities(self, bad):
+        with pytest.raises(ValueError, match="arity"):
+            identity(bad)
+        with pytest.raises(ValueError, match="arity"):
+            Morphism(bad, 1, {})
+        with pytest.raises(ValueError, match="arity"):
+            Morphism(1, bad, {})
+
+    def test_json_arities_are_checked(self):
+        for n, m in ((-3, 1), (-1, -1), (1, -2)):
+            with pytest.raises(ValueError, match="arity"):
+                Morphism.from_json({"n": n, "m": m, "terms": []})
+        with pytest.raises(ValueError, match="'n'"):
+            Morphism.from_json({"n": 2.7, "m": 1, "terms": []})
 
 
 class TestOracle:

@@ -336,6 +336,15 @@ def test_malformed_json_is_a_usage_error(argv, name):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("n, m", [(-1, -1), (-3, 1), (1, -2)])
+def test_negative_arity_is_a_usage_error(capsys, n, m):
+    # a square (-1, -1) morphism used to be read as arity 0, with trace 0 and exit 0
+    code = main(["trace", "--morphism", json.dumps({"n": n, "m": m, "terms": []})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: arity must be a non-negative integer, got {min(n, m)}\n"
+
+
 def test_bad_partition(capsys):
     code = main(["ring", "schur", "--lambda", "1,2"])
     assert code == 2

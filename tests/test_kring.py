@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -428,6 +430,47 @@ class TestCounitAntipode:
             rows.append(row)
         matrix = [list(col) for col in zip(*rows)]  # columns = basis classes
         assert len(basis_words) - matrix_rank(matrix) == 2
+
+
+def assert_same_as_checked(x):
+    """A result built by the trusted constructor equals its checked rebuild, number types too."""
+    rebuilt = KClass(dict(x.coeffs))
+    assert x == rebuilt and all(x.coeffs.values())
+    assert {w: type(c) for w, c in x.coeffs.items()} == {w: type(c) for w, c in rebuilt.coeffs.items()}
+    with pytest.raises(TypeError):
+        x.coeffs["b"] = 1
+    with pytest.raises(AttributeError):
+        x.coeffs = {}
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is KClass and clone == x
+
+
+class TestTrustedResults:
+    @settings(max_examples=60, deadline=None)
+    @given(classes(3), classes(3))
+    def test_products_and_antipodes_equal_checked_rebuilds(self, x, y):
+        for z in (tensor_mul(x, F(1, 2) * y), antipode(x * F(1, 3)), x * y):
+            assert_same_as_checked(z)
+
+    def test_halves_summing_to_one_are_int(self):
+        # bw comes once from b * w and once from w * b
+        z = tensor_mul(KClass({"b": F(1, 2), "w": F(1, 2)}), KClass({"b": 1, "w": 1}))
+        assert z.coeffs["bw"] == 1 and type(z.coeffs["bw"]) is int
+        assert_same_as_checked(z)
+        s = antipode(KClass({"b": F(1, 2), "w": F(1, 2)}))
+        assert dict(s.coeffs) == {"": -2, "b": F(-1, 2), "w": F(-1, 2)}
+        assert type(s.coeffs[""]) is int
+        assert_same_as_checked(s)
+
+    def test_cancelled_terms_are_dropped(self):
+        # the standard product is commutative, so b * w - w * b is zero
+        z = tensor_mul(word("b") - word("w"), word("b") + word("w"))
+        assert dict(z.coeffs) == dict((word("b") * word("b") - word("w") * word("w")).coeffs)
+        assert "bw" not in z.coeffs and "" not in z.coeffs
+        assert_same_as_checked(z)
+        s = antipode(word("b") - word("w"))  # S(b) = -b - 2 and S(w) = -w - 2
+        assert dict(s.coeffs) == {"b": -1, "w": 1}
+        assert_same_as_checked(s)
 
 
 class TestDualityPairing:

@@ -176,6 +176,34 @@ def test_values_are_read_only(name):
     assert x == make({keys[0]: 1, keys[1]: 2})
 
 
+# the trusted constructor of each combination, with the space of its CASES entry
+TRUSTED = {
+    "Morphism": lambda c: Morphism._trusted(1, 1, c),
+    "KClass": KClass._trusted,
+    "KTensorClass": KTensorClass._trusted,
+    "SchwartzFn": lambda c: SchwartzFn._trusted(1, (0, 2), c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trusted_construction_keeps_the_number_rule(name):
+    make, keys, _ = CASES[name]
+    coeffs = {keys[0]: F(1, 2) + F(1, 2), keys[1]: F(0), keys[2]: F(-3, 2)}
+    x, checked = TRUSTED[name](coeffs), make(coeffs)
+    assert type(x) is type(checked) and x == checked and checked == x
+    assert dict(x.coeffs) == {keys[0]: 1, keys[2]: F(-3, 2)}
+    assert [type(c) for c in x.coeffs.values()] == [int, F]
+    assert x._space() == checked._space()
+    with pytest.raises(TypeError):
+        x.coeffs[keys[1]] = 1
+    for attr in ("coeffs", *type(x).__slots__):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, getattr(x, attr))
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is type(x) and clone == x
+        assert [type(c) for c in clone.coeffs.values()] == [int, F]
+
+
 # The immutable values are plain slotted classes; each must equal, hash, order
 # and print like the frozen dataclass with the same name and fields.
 DATACLASSES = {
@@ -247,7 +275,11 @@ def test_path_normalises_and_checks_its_steps():
     assert all(type(s) is tuple for s in p.steps)
     assert p == Path(dim=2, steps=((1, 0), (0, 1)))
     for dim, steps, message in ((2, [[1, 2]], "0-1 vector"), (2, [[0, 0]], "zero vector"),
-                                (2, [[1]], "dimension 2"), (-1, [], "non-negative")):
+                                (2, [[1]], "dimension 2"), (-1, [], "non-negative"),
+                                # the first bad step is the one reported
+                                (2, [[1, 0], [2, 0], [1, 0], [0, 0], [2, 0]], r"\(2, 0\) is not"),
+                                (2, [[1, 0], [0, 0], [1, 1], [1, 2]], "zero vector"),
+                                (2, [[1, 1], [1, 1], [1], [2, 0]], "dimension 2")):
         with pytest.raises(ValueError, match=message):
             Path(dim, steps)
 

@@ -73,6 +73,38 @@ class TestEnumeration:
             enumerate_paths((-1, 0))
 
 
+def reference_paths(target):
+    """Independent enumeration by first step, with no cache shared between calls."""
+    if not any(target):
+        return [()]
+    return [(s,) + rest
+            for s in itertools.product((0, 1), repeat=len(target))
+            if any(s) and all(c <= a for c, a in zip(s, target))
+            for rest in reference_paths(tuple(a - c for a, c in zip(target, s)))]
+
+
+class TestTailEnumeration:
+    """Targets above `_TAIL` are searched down to cached small-target tails."""
+
+    TARGETS = ([(n, m) for n in range(7) for m in range(7)]
+               + list(itertools.product(range(4), repeat=3))
+               + [(1, 1, 1, 1), (2, 1, 1, 1), (), (0,)])
+
+    def test_matches_first_step_recursion(self):
+        for target in self.TARGETS:
+            got = enumerate_paths(target)
+            assert all(p.dim == len(target) for p in got), target
+            assert tuple(p.steps for p in got) == tuple(sorted(reference_paths(target))), target
+
+    def test_long_thin_targets_need_no_recursion(self):
+        (p,) = enumerate_paths((0, 20000))
+        assert p.steps == ((0, 1),) * 20000
+        got = enumerate_paths((1, 1500))
+        assert len(got) == 3001 == len(set(got))
+        assert all(p.target == (1, 1500) for p in got)
+        assert [p.steps for p in got] == sorted(p.steps for p in got)
+
+
 class TestDelannoyNumbers:
     def test_base_cases(self):
         assert delannoy_number(2, 2) == 13
