@@ -135,7 +135,7 @@ def _nonzero_steps(dim: int) -> list[Step]:
     return out
 
 
-_TAIL = 5  # coordinate sum up to which `enumerate_paths` builds a target by first step
+_TAIL = 5  # coordinate sum at or below which `enumerate_paths` reads cached tails
 
 
 @lru_cache(maxsize=None)
@@ -143,31 +143,28 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
     """All Delannoy paths with the given target, sorted by step sequence.
 
     The empty target (dimension 0) and the zero target both yield the single
-    empty path.  A target whose coordinate sum is at most `_TAIL` is built by
-    first step, from the cached paths to what is left.  A larger one is
-    searched depth first, on an explicit stack, over the points above `_TAIL`;
-    at the first point `left` at or below it, the cached paths to `left` are
-    appended to the steps taken.  So the work stays linear in the output, no
-    recursion grows with the target, and the cache gains only small points.
+    empty path.  The search runs depth first, on an explicit stack, over the
+    target and the points whose coordinate sum is above `_TAIL`; at the first
+    other point `left`, the cached paths to `left` are appended to the steps
+    taken.  So the work stays linear in the output, a small target is built
+    by first step with recursion at most `_TAIL` deep, no recursion grows
+    with the target, and the cache gains only small points.
     """
     target = tuple(int(a) for a in target)
     if any(a < 0 for a in target):
         raise ValueError("target entries must be non-negative")
     dim = len(target)
     steps = _nonzero_steps(dim)
-    if sum(target) <= _TAIL:
-        return tuple(
-            _trusted_path(dim, (s,) + p.steps) for s in steps
-            if all(c <= a for c, a in zip(s, target))
-            for p in enumerate_paths(tuple(map(sub, target, s)))
-        ) or (_trusted_path(dim, ()),)
-    # For every point above `_TAIL`: the steps that fit, each with what is left.
+    # For the target and every point above `_TAIL`: the steps that fit, each
+    # with what is left after it; none fit at the zero point.
     children = {
         left: [(s, tuple(map(sub, left, s))) for s in steps
                if all(c <= l for c, l in zip(s, left))]
         for left in itertools.product(*(range(a + 1) for a in target))
-        if sum(left) > _TAIL
+        if sum(left) > _TAIL or left == target
     }
+    if not children[target]:
+        return (_trusted_path(dim, ()),)
     # Depth first over the children in order, so paths come out sorted.
     out: list[Path] = []
     prefix: list[Step] = []

@@ -99,9 +99,10 @@ class TestTailEnumeration:
     def test_long_thin_targets_need_no_recursion(self):
         (p,) = enumerate_paths((0, 20000))
         assert p.steps == ((0, 1),) * 20000
-        got = enumerate_paths((1, 1500))
-        assert len(got) == 3001 == len(set(got))
-        assert all(p.target == (1, 1500) for p in got)
+        # Just longer than the default recursion limit of 1000 steps.
+        got = enumerate_paths((1, 1050))
+        assert len(got) == 2101 == len(set(got))
+        assert all(p.target == (1, 1050) for p in got)
         assert [p.steps for p in got] == sorted(p.steps for p in got)
 
 
