@@ -15,8 +15,8 @@ factor, axis 2 = the shared middle, axis 3 = input of the second), and 0
 otherwise.  The same coefficients arise by multiplying the kernels under
 Euler-characteristic integration; compose_oracle computes them that way, and
 the two routes are checked against each other in the test suite.  That route
-pairs kernel slices as raw cells (slot spans over the union of breakpoints),
-not as SchwartzFn objects, and merges breakpoints once per output cell.
+pairs kernel slices as raw cells, not as SchwartzFn objects, over slot layouts
+read from paths: the result path's, or the path of an output cell.
 
 `compose` works on whole morphisms.  Each operand becomes a suffix graph: a
 node is (the coefficient of a path that ends there, or None; its sorted
@@ -55,21 +55,19 @@ import threading
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import index, mul
+from operator import mul
 
 from .errors import InvariantError
 from .euler import (
     SchwartzFn,
     Signature,
-    _merge_points,
     _pair_spans,
     _slot_spans,
-    cell_representative,
     indicator_of_cell,
     iter_signatures,
     key_indicator,
 )
-from .linear import Combination, frac_str, json_field, json_int, parse_frac
+from .linear import Combination, _arity, frac_str, json_field, json_int, parse_frac
 from .paths import (
     Path,
     Step,
@@ -229,13 +227,6 @@ class _Engine:
 _ENGINE = _Engine()
 
 
-def _arity(n) -> int:
-    """n as an arity; ValueError unless it is a non-negative integer."""
-    if not hasattr(n, "__index__") or n < 0:
-        raise ValueError(f"arity must be a non-negative integer, got {n!r}")
-    return index(n)
-
-
 @lru_cache(maxsize=None)
 def _compose_basis(p1: Path, p2: Path) -> tuple[tuple[Path, int], ...]:
     """Row of structure constants for a pair of basis paths, as (p3, sign) pairs."""
@@ -377,14 +368,22 @@ def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
     return Path(2, tuple(steps))
 
 
+def _layout(p: Path) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The slot spans of p's axis-0 points and of its axis-1 points over the
+    canonical representative of O_p, whose k-th step is slot 2k - 1."""
+    steps = p.steps
+    top = 2 * len(steps)
+    return (_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], top),
+            _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], top))
+
+
 def compose_oracle(p1: Path, p2: Path) -> Morphism:
     """Composition computed by integration instead of the combinatorial rule.
 
     The product kernel is constant on each orbit, so its coefficient on a
     basis path p3 is read off at the canonical representative (z, x) of O_p3:
-    pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x).  The
-    points of z and x are 1, ..., len(p3) together, so over their union the
-    k-th step of p3 is slot 2k - 1, and each slice is one cell over it.
+    pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x), each
+    one cell over the layout of p3.
     """
     n, m1 = p1.target
     m2, l = p2.target
@@ -393,9 +392,7 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     sig1, sig2 = _slice_signature(p1, 1), _slice_signature(p2, 2)
     coeffs: dict[Path, int | Fraction] = {}
     for p3 in enumerate_paths((n, l)):
-        steps = p3.steps
-        spans_z = _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], 2 * len(steps))
-        spans_x = _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], 2 * len(steps))
+        spans_z, spans_x = _layout(p3)
         coeffs[p3] = _pair_spans([([spans_z[s] for s in sig1], 1)],
                                  [([spans_x[t] for t in sig2], 1)])
     return Morphism(n, l, coeffs)
@@ -404,16 +401,15 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
 def _slice_pairings(paths: Sequence[Path], out_arity: int,
                     phi: SchwartzFn) -> Iterator[tuple[Signature, list]]:
     """For each output cell over phi's breakpoints, the pairing of every
-    path's slice y -> A_p(x, y) with phi, at the cell's representative x.
+    path's slice y -> A_p(x, y) with phi, at a point x of the cell.
 
-    The representative, its merge with phi's breakpoints and phi's spans are
-    computed once per output cell, for all the paths.
+    Only the order of x among the breakpoints matters: the cell's path.  Its
+    layout and phi's spans are computed once per output cell, for all paths.
     """
-    bp = phi.breakpoints
+    m = len(phi.breakpoints)
     sigs = [_slice_signature(p, 1) for p in paths]
-    for sig in iter_signatures(out_arity, len(bp)):
-        points_x, points_phi, top = _merge_points(cell_representative(bp, sig), bp)
-        spans_x, spans_phi = _slot_spans(points_x, top), _slot_spans(points_phi, top)
+    for sig in iter_signatures(out_arity, m):
+        spans_x, spans_phi = _layout(_cell_to_path(sig, m))
         right = [([spans_phi[t] for t in b], d) for b, d in phi.coeffs.items()]
         yield sig, [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
 
@@ -422,7 +418,7 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     """Act on a function: (A phi)(x) = integral of A(x, y) phi(y) over y.
 
     The result is constant on cells over phi's breakpoints; it is evaluated
-    at one representative per output cell.
+    once per output cell, through the cell's path.
     """
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
@@ -474,7 +470,7 @@ def invariant_extension(x: SchwartzFn) -> Morphism:
     return Morphism(x.arity, m, {_cell_to_path(sig, m): c for sig, c in x.coeffs.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
 def multiplicity_rank(word: str, m: int) -> int:
     """Multiplicity of the simple of a weight word inside arity-m functions.
 

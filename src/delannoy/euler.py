@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .linear import Combination, Frozen, frac_str, json_field, json_int, number, parse_frac
+from .linear import Combination, Frozen, _arity, frac_str, json_field, json_int, number, parse_frac
 from .paths import check_weight
 
 Signature = tuple[int, ...]
@@ -52,7 +52,7 @@ def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[int | Fraction,
 
 def iter_signatures(arity: int, num_breakpoints: int) -> Iterator[Signature]:
     """All cell signatures of the given arity over 2*num_breakpoints+1 slots."""
-    yield from _iter_over_slots(tuple(range(2 * num_breakpoints + 1)), arity)
+    return _iter_over_slots(tuple(range(2 * _arity(num_breakpoints) + 1)), _arity(arity))
 
 
 def _iter_over_slots(slots: tuple[int, ...], count: int) -> Iterator[Signature]:
@@ -74,11 +74,10 @@ def _iter_over_slots(slots: tuple[int, ...], count: int) -> Iterator[Signature]:
     yield from rec(0, count)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
 def cell_count(arity: int, num_breakpoints: int) -> int:
     """Number of cell signatures, counted by a slot-by-slot recursion."""
-    if arity < 0 or num_breakpoints < 0:
-        raise ValueError("arguments must be non-negative")
+    arity, num_breakpoints = _arity(arity), _arity(num_breakpoints)
 
     @lru_cache(maxsize=None)
     def count(slot: int, k: int) -> int:
@@ -101,10 +100,11 @@ def cell_volume(sig: Signature) -> int:
 
 
 def cell_representative(breakpoints: Sequence[Fraction], sig: Signature) -> tuple[Fraction, ...]:
-    """A deterministic exact point of the cell.
+    """A deterministic exact point of the cell, the tests' reference point.
 
     Coordinates on point slots sit on the breakpoint itself; k coordinates
-    sharing a gap are spread at rational positions inside it.
+    sharing a gap are spread at rational positions inside it.  The engine
+    reads a cell's layout among the breakpoints from its path instead.
     """
     bp = tuple(breakpoints)
     m = len(bp)
@@ -151,7 +151,7 @@ class SchwartzFn(Combination):
         breakpoints: Sequence[Fraction],
         coeffs: dict[Signature, Fraction],
     ):
-        object.__setattr__(self, "arity", int(arity))
+        object.__setattr__(self, "arity", _arity(arity))
         object.__setattr__(self, "breakpoints", _check_breakpoints(breakpoints))
         super().__init__(coeffs)
 
@@ -330,12 +330,7 @@ def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
 
 
 def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
-    """The bilinear pairing: the Euler integral of the pointwise product."""
-    return Fraction(pair_total(f, g))
-
-
-def pair_total(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
-    """`pair(f, g)` in the stored number form: an int for integer coefficients.
+    """The bilinear pairing: the Euler integral of the pointwise product.
 
     Coordinate i of the meet of a cell a of f and a cell b of g ranges over
     the meet of the slots a_i and b_i.  Coordinates whose slot pairs differ
@@ -349,10 +344,10 @@ def pair_total(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
     points_f, points_g, top = _merge_points(f.breakpoints, g.breakpoints)
-    spans_f = _slot_spans(points_f, top)
-    spans_g = _slot_spans(points_g, top)
+    spans_f, spans_g = _slot_spans(points_f, top), _slot_spans(points_g, top)
     left = (([spans_f[s] for s in a], c) for a, c in f.coeffs.items())
-    return _pair_spans(left, [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()])
+    right = [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()]
+    return Fraction(_pair_spans(left, right))
 
 
 def _pair_spans(left: Iterable[tuple[list, int | Fraction]],

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from fractions import Fraction
+from operator import index
 from types import MappingProxyType
 
 
@@ -31,6 +32,13 @@ def number(value) -> int | Fraction:
         return value
     q = value if type(value) is Fraction else Fraction(value)
     return q.numerator if q.denominator == 1 else q
+
+
+def _arity(n) -> int:
+    """n as an arity; ValueError unless it is a non-negative integer."""
+    if not hasattr(n, "__index__") or n < 0:
+        raise ValueError(f"arity must be a non-negative integer, got {n!r}")
+    return index(n)
 
 
 def frac_str(q: int | Fraction) -> str:

@@ -29,6 +29,7 @@ from delannoy.category import (
 )
 from delannoy.euler import (
     SchwartzFn,
+    cell_count,
     cell_representative,
     indicator_of_cell,
     integrate,
@@ -303,8 +304,11 @@ class TestTrustedResults:
         assert_same_as_checked(h)
 
 
+BAD_ARITIES = [-1, -3, 2.7, 2.0, "2", None]
+
+
 class TestArities:
-    @pytest.mark.parametrize("bad", [-1, -3, 2.7, 2.0, "2", None])
+    @pytest.mark.parametrize("bad", BAD_ARITIES)
     def test_identity_and_morphism_reject_bad_arities(self, bad):
         with pytest.raises(ValueError, match="arity"):
             identity(bad)
@@ -319,6 +323,20 @@ class TestArities:
                 Morphism.from_json({"n": n, "m": m, "terms": []})
         with pytest.raises(ValueError, match="'n'"):
             Morphism.from_json({"n": 2.7, "m": 1, "terms": []})
+
+    @pytest.mark.parametrize("bad", BAD_ARITIES)
+    def test_euler_side_rejects_bad_arities(self, bad):
+        # 1.9 was truncated to 1, negatives were accepted or recursed without end,
+        # and a cached 2 answered for 2.0
+        assert cell_count(2, 1) == 5 and multiplicity_rank("b", 2) == 2
+        calls = [lambda: SchwartzFn(bad, (), {}), lambda: iter_signatures(bad, 0),
+                 lambda: iter_signatures(0, bad), lambda: cell_count(bad, 1),
+                 lambda: cell_count(1, bad), lambda: multiplicity_rank("b", bad)]
+        if isinstance(bad, int):
+            calls.append(lambda: SchwartzFn.from_json({"n": bad, "breakpoints": [], "cells": []}))
+        for call in calls:
+            with pytest.raises(ValueError, match="arity"):
+                call()
 
 
 class TestOracle:
@@ -577,6 +595,39 @@ class TestRawCellPairings:
                     image = apply_kernel(invariant_extension(indicator_of_cell(m, a, sig)), psi)
                     cols.append([image.value_at_cell(out) for out in basis])
                 assert multiplicity_rank(word, m) == matrix_rank(cols) == comb(m, n)
+
+
+@st.composite
+def moved_breakpoints(draw, bp):
+    """Another strictly increasing tuple as long as bp: negative, Fraction or far apart."""
+    values = st.one_of(st.integers(-10**12, 10**12),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+                       st.sampled_from([F(-10**15, 7), F(1, 10**9), 10**18]))
+    return tuple(sorted(draw(st.sets(values, min_size=len(bp), max_size=len(bp)))))
+
+
+class TestApplyKernelLayout:
+    """apply_kernel reads each output cell's layout from its path, not from points."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_invariant_under_order_preserving_breakpoints(self, data):
+        f, phi = data.draw(morphism_and_function())
+        moved = SchwartzFn(phi.arity, data.draw(moved_breakpoints(phi.breakpoints)),
+                           dict(phi.coeffs))
+        got, want = apply_kernel(f, moved), apply_kernel(f, phi)
+        assert got.breakpoints == moved.breakpoints
+        assert dict(got.coeffs) == dict(want.coeffs)
+        assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+
+    def test_enumerates_no_paths(self):
+        # out-arity 4 over 5 breakpoints: a target the path cache would otherwise keep
+        f = Morphism(4, 1, {p: 1 for p in enumerate_paths((4, 1))[::3]})
+        phi = SchwartzFn(1, (-3, F(1, 2), 2, 7, 10**9), {(1,): 1, (4,): F(-2, 3), (10,): 2})
+        before = paths_module.enumerate_paths.cache_info()
+        got = apply_kernel(f, phi)
+        assert paths_module.enumerate_paths.cache_info() == before
+        assert len(got.coeffs) > 0 and all(len(sig) == 4 for sig in got.coeffs)
 
 
 class TestMultiplicityRank:
