@@ -52,10 +52,10 @@ indicators; flipping either convention breaks those tests.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import InvariantError
 from .euler import (
@@ -112,7 +112,7 @@ class _Engine:
     def clear(self) -> None:
         self.node_ids: dict = {}        # (end, ((step, child), ...)) -> node id
         self.nodes: list = []           # node id -> (end, {step: child})
-        self.roots: dict = {}           # frozenset of a morphism's terms -> its root
+        self.roots: dict = {}           # frozenset of a morphism's (steps, coeff) -> its root
         self.extend = {s13: {} for _, _, s13 in _MOVES if s13}  # step -> {suffix: step + suffix}
         self.suffixes: list = [None]    # suffix id -> (step, id of the rest)
         self.paths: dict = {}           # suffix id -> its decoded Path
@@ -128,14 +128,15 @@ class _Engine:
 
     def graph(self, f: "Morphism") -> int:
         """The root of f's suffix graph: its paths, merged where suffixes agree."""
-        key = frozenset(f.coeffs.items())
+        # every path of f has dimension 2, so its steps stand for it, hashed as a tuple
+        key = frozenset(zip(map(_STEPS, f.coeffs), f.coeffs.values()))
         root = self.roots.get(key)
         if root is None:
             root = self.roots[key] = self._build(key)
         return root
 
     def _build(self, terms) -> int:
-        """Intern the suffix graph of (path, coeff) terms, and return its root.
+        """Intern the suffix graph of (steps, coeff) terms, and return its root.
 
         Paths go in sorted order, so a node is complete, and is interned,
         once a path leaves the prefix that leads to it.
@@ -149,7 +150,7 @@ class _Engine:
                 child = self.node(ends.pop(), edges.pop())
                 edges[-1].append((last[len(edges) - 1], child))
 
-        for steps, c in sorted((p.steps, c) for p, c in terms):
+        for steps, c in sorted(terms):
             k = 0
             while k < len(last) and k < len(steps) and last[k] == steps[k]:
                 k += 1
@@ -225,6 +226,7 @@ class _Engine:
 
 
 _ENGINE = _Engine()
+_STEPS = attrgetter("steps")
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +367,7 @@ def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
             while i < len(sig) and sig[i] == slot:
                 steps.append((1, 0))
                 i += 1
-    return Path(2, tuple(steps))
+    return _trusted_path(2, tuple(steps))
 
 
 def _layout(p: Path) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -393,25 +395,26 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     coeffs: dict[Path, int | Fraction] = {}
     for p3 in enumerate_paths((n, l)):
         spans_z, spans_x = _layout(p3)
-        coeffs[p3] = _pair_spans([([spans_z[s] for s in sig1], 1)],
-                                 [([spans_x[t] for t in sig2], 1)])
-    return Morphism(n, l, coeffs)
+        c = _pair_spans([([spans_z[s] for s in sig1], 1)], [([spans_x[t] for t in sig2], 1)])
+        if c:  # only nonzero ints, so that `_trusted` adopts the dict
+            coeffs[p3] = c
+    return Morphism._trusted(n, l, coeffs)
 
 
-def _slice_pairings(paths: Sequence[Path], out_arity: int,
-                    phi: SchwartzFn) -> Iterator[tuple[Signature, list]]:
-    """For each output cell over phi's breakpoints, the pairing of every
-    path's slice y -> A_p(x, y) with phi, at a point x of the cell.
+def _slice_pairings(paths: Sequence[Path], cells: Iterable[Path],
+                    phi: SchwartzFn) -> Iterator[list]:
+    """For each output cell over phi's breakpoints, given by its path, the
+    pairing of every path's slice y -> A_p(x, y) with phi, at a point x of
+    the cell.
 
     Only the order of x among the breakpoints matters: the cell's path.  Its
     layout and phi's spans are computed once per output cell, for all paths.
     """
-    m = len(phi.breakpoints)
     sigs = [_slice_signature(p, 1) for p in paths]
-    for sig in iter_signatures(out_arity, m):
-        spans_x, spans_phi = _layout(_cell_to_path(sig, m))
+    for cell in cells:
+        spans_x, spans_phi = _layout(cell)
         right = [([spans_phi[t] for t in b], d) for b, d in phi.coeffs.items()]
-        yield sig, [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
+        yield [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
 
 
 def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
@@ -422,12 +425,15 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     """
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
+    m = len(phi.breakpoints)
+    sigs = list(iter_signatures(f.out_arity, m))
+    cells = (_cell_to_path(sig, m) for sig in sigs)
     coeffs: dict[Signature, int | Fraction] = {}
-    for sig, values in _slice_pairings(list(f.coeffs), f.out_arity, phi):
+    for sig, values in zip(sigs, _slice_pairings(list(f.coeffs), cells, phi)):
         val = sum(map(mul, f.coeffs.values(), values))
         if val:
             coeffs[sig] = val
-    return SchwartzFn(f.out_arity, phi.breakpoints, coeffs)
+    return SchwartzFn._trusted(f.out_arity, phi.breakpoints, coeffs)
 
 
 def projector(word: str) -> Morphism:
@@ -467,7 +473,7 @@ def invariant_extension(x: SchwartzFn) -> Morphism:
     (n, m); the coefficient of each path is x's value on its cell.
     """
     m = len(x.breakpoints)
-    return Morphism(x.arity, m, {_cell_to_path(sig, m): c for sig, c in x.coeffs.items()})
+    return Morphism._trusted(x.arity, m, {_cell_to_path(sig, m): c for sig, c in x.coeffs.items()})
 
 
 @lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
@@ -484,8 +490,8 @@ def multiplicity_rank(word: str, m: int) -> int:
     n = len(word)
     psi = key_indicator(word, tuple(range(1, n + 1)))
     paths = [_cell_to_path(sig, n) for sig in iter_signatures(m, n)]
-    # rows come in the order of iter_signatures, the order of the columns
-    rows = [row for _, row in _slice_pairings(paths, m, psi)]
+    # the output cells are the paths' own cells, so rows come in the order of the columns
+    rows = list(_slice_pairings(paths, paths, psi))
     cols = [list(col) for col in zip(*rows)]
     square = [[sum(map(mul, row, col)) for col in cols] for row in rows]
     if square != rows:

@@ -314,7 +314,7 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
         for combo in product(*groups):
             new_sig = tuple(s for part in combo for s in part)
             coeffs[new_sig] = coeffs.get(new_sig, 0) + c
-    return SchwartzFn(f.arity, fine, coeffs)
+    return SchwartzFn._trusted(f.arity, fine, coeffs)
 
 
 def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
@@ -386,7 +386,7 @@ def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
         sign = 1 if sig[i] % 2 == 1 else -1
         reduced = sig[:i] + sig[i + 1 :]
         coeffs[reduced] = coeffs.get(reduced, 0) + sign * c
-    return SchwartzFn(f.arity - 1, f.breakpoints, coeffs)
+    return SchwartzFn._trusted(f.arity - 1, f.breakpoints, coeffs)
 
 
 def integrate_fully(f: SchwartzFn, order: Sequence[int] | None = None) -> Fraction:

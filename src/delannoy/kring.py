@@ -127,7 +127,7 @@ class KTensorClass(Combination):
                         for rv, cr in right:
                             key = (lu, rv)
                             out[key] = out.get(key, 0) + scale * cl * cr
-            return KTensorClass(out)
+            return KTensorClass._trusted(out)
         return super().__mul__(other)
 
     def term_texts(self) -> list[str]:
@@ -156,7 +156,7 @@ def concat_mul(x: KClass, y: KClass) -> KClass:
         for v, cv in y.coeffs.items():
             w = u + v
             coeffs[w] = coeffs.get(w, 0) + cu * cv
-    return KClass(coeffs)
+    return KClass._trusted(coeffs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -223,7 +223,7 @@ def induce(t: KTensorClass) -> KClass:
     for (u, v), c in t.coeffs.items():
         for w in (u + mid + v for mid in _MIXED):
             out[w] = out.get(w, 0) + c
-    return KClass(out)
+    return KClass._trusted(out)
 
 
 def restrict(x: KClass) -> KTensorClass:
@@ -233,7 +233,7 @@ def restrict(x: KClass) -> KTensorClass:
         splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
         for key in splits + [(w[: i - 1], w[i:]) for i in range(1, len(w) + 1)]:
             out[key] = out.get(key, 0) + c
-    return KTensorClass(out)
+    return KTensorClass._trusted(out)
 
 
 def counit(x: KClass) -> Fraction:

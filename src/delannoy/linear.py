@@ -82,11 +82,13 @@ def json_field(data, name: str, convert: Callable | None = None):
 
 
 class Frozen:
-    """A value whose slots are set once, in `__init__`, and never again.
+    """A value whose slots are set once, when it is built, and never again.
 
-    A subclass sets its slots through `object.__setattr__`.  Unless it says
-    otherwise in `__reduce__`, its `__slots__` are its constructor arguments
-    in order, so that pickle and copy rebuild a value through the constructor.
+    `__setattr__` refuses every assignment, so a subclass sets its slots
+    around it, through `object.__setattr__` or, in its hot builds, through
+    the slot descriptors themselves.  Unless it says otherwise in
+    `__reduce__`, its `__slots__` are its constructor arguments in order, so
+    that pickle and copy rebuild a value through the constructor.
     """
 
     __slots__ = ()
@@ -107,40 +109,39 @@ class Combination(Frozen):
     Construction keeps the nonzero terms, each key passed through the
     subclass's `_check_key` and each coefficient through `number`, and holds
     them in a read-only `coeffs` mapping; no attribute can be set afterwards.
-    Operands of `+`, `-` and `==` are brought to one space by `_align`;
-    results are built by `_new`, so through the subclass's `__init__`.
-    `_trusted` builds the engine's results without the space and key checks,
-    but with the number rule, and drops zero terms.
+    Operands of `+`, `-` and `==` are brought to one space by `_align`.
+    `_trusted` builds the engine's results, and `_new` the results of
+    arithmetic, whose keys come from checked operands: without the space and
+    key checks, but with the number rule, and zero terms are dropped.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None) -> None:
-        self._store(coeffs or {}, self._check_key)
+        check, coeffs = self._check_key, coeffs or {}
+        clean = {check(k): c for k, c in zip(coeffs, map(number, coeffs.values())) if c}
+        _set_coeffs(self, MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, *args):
-        """`cls(*args)` for the engine's own results, like `paths._trusted_path`.
+        """`cls(*args)` for results whose space and keys are already valid.
 
         The space arguments and the keys are stored unchecked, so only for keys
-        the engine made in that space.  The number rule still holds (a sum of
-        Fractions can be integral), and zero terms are still dropped.
+        made in that space.  It takes ownership of its dict, which no one else
+        may hold: when every value is a nonzero `int`, the dict itself becomes
+        `coeffs`, with no key inserted or hashed again.  Otherwise the number
+        rule is applied (a sum of Fractions can be integral) and zero terms
+        are dropped.
         """
         *space, coeffs = args
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, space):
-            object.__setattr__(self, name, value)
-        self._store(coeffs, None)
+            getattr(cls, name).__set__(self, value)
+        values = coeffs.values()
+        if not (_INT.issuperset(map(type, values)) and 0 not in values):
+            coeffs = {k: c for k, c in zip(coeffs, map(number, values)) if c}
+        _set_coeffs(self, MappingProxyType(coeffs))
         return self
-
-    def _store(self, coeffs: dict, check: Callable | None) -> None:
-        clean = {}
-        for k, c in coeffs.items():
-            if type(c) is not int:
-                c = number(c)
-            if c:
-                clean[check(k) if check else k] = c
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def __reduce__(self):
         return type(self), (*self._space(), dict(self.coeffs))
@@ -159,7 +160,7 @@ class Combination(Frozen):
         return ()
 
     def _new(self, coeffs: dict):
-        return type(self)(*self._space(), coeffs)
+        return self._trusted(*self._space(), coeffs)
 
     def _align(self, other):
         """(self, other) over one common space, or None if `other` is no operand."""
@@ -223,3 +224,7 @@ class Combination(Frozen):
     @classmethod
     def loads(cls, text: str):
         return cls.from_json(json.loads(text))
+
+
+_INT = frozenset((int,))  # the one coefficient type `_trusted` adopts as it is
+_set_coeffs = Combination.coeffs.__set__

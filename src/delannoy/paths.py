@@ -22,7 +22,7 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import index, sub
 
 from .errors import InvariantError
 from .linear import Frozen, json_field, json_int
@@ -50,11 +50,13 @@ class Path(Frozen):
     def __init__(self, dim: int, steps: Sequence[Sequence[int]]) -> None:
         if dim < 0:
             raise ValueError("dimension must be non-negative")
-        steps = tuple(tuple(s) for s in steps)
-        for step in dict.fromkeys(steps):  # each distinct step once, the first bad one first
-            _check_step(step, dim)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "steps", steps)
+        steps = tuple(map(tuple, steps))
+        valid = _VALID_STEPS.get(dim)
+        if valid is None or not valid.issuperset(steps):
+            for step in dict.fromkeys(steps):  # each distinct step once, the first bad one first
+                _check_step(step, dim)
+        _set_dim(self, dim)
+        _set_steps(self, steps)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -112,17 +114,21 @@ class Path(Frozen):
         return cls.from_json(json.loads(text))
 
 
+_set_dim, _set_steps = Path.dim.__set__, Path.steps.__set__  # Path's slot descriptors
+
+
 def _trusted_path(dim: int, steps: tuple[Step, ...]) -> Path:
     """A Path built without validation, for the engine's own hot loops.
 
-    Only for steps taken from a valid step table: the nonzero 0-1 steps of
-    `_nonzero_steps(dim)`, the 3-bit steps of the moves of `_MOVES` that
-    `lift3` takes, or the nonzero projections those moves emit.  The result
-    equals, hashes and orders like `Path(dim, steps)`.
+    Only for a tuple of steps taken from a valid step table: the nonzero 0-1
+    steps of `_nonzero_steps(dim)`, the 3-bit steps of the moves of `_MOVES`
+    that `lift3` takes, or the nonzero projections those moves emit.  The
+    slots are set through their descriptors, skipping `Frozen.__setattr__`;
+    the result equals, hashes and orders like `Path(dim, steps)`.
     """
     p = object.__new__(Path)
-    object.__setattr__(p, "dim", dim)
-    object.__setattr__(p, "steps", steps)
+    _set_dim(p, dim)
+    _set_steps(p, steps)
     return p
 
 
@@ -135,24 +141,36 @@ def _nonzero_steps(dim: int) -> list[Step]:
     return out
 
 
+# The valid steps of each dimension up to 4, which `Path` tests its steps against at once
+_VALID_STEPS = {dim: frozenset(_nonzero_steps(dim)) for dim in range(5)}
 _TAIL = 5  # coordinate sum at or below which `enumerate_paths` reads cached tails
 
 
-@lru_cache(maxsize=None)
-def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
+def enumerate_paths(target: Sequence[int]) -> tuple[Path, ...]:
     """All Delannoy paths with the given target, sorted by step sequence.
 
     The empty target (dimension 0) and the zero target both yield the single
-    empty path.  The search runs depth first, on an explicit stack, over the
-    target and the points whose coordinate sum is above `_TAIL`; at the first
-    other point `left`, the cached paths to `left` are appended to the steps
-    taken.  So the work stays linear in the output, a small target is built
-    by first step with recursion at most `_TAIL` deep, no recursion grows
-    with the target, and the cache gains only small points.
+    empty path.  The entries are checked here, before the cache lookup,
+    since the cache would take 2.0 for 2; the search itself is cached.
     """
-    target = tuple(int(a) for a in target)
+    target = tuple(target)
+    if not all(hasattr(a, "__index__") for a in target):
+        raise ValueError(f"target entries must be integers, got {target!r}")
+    target = tuple(map(index, target))
     if any(a < 0 for a in target):
         raise ValueError("target entries must be non-negative")
+    return _enumerate_paths(target)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
+    """The paths to a checked target, searched depth first, on an explicit
+    stack, over the target and the points whose coordinate sum is above
+    `_TAIL`; at the first other point `left`, the cached paths to `left` are
+    appended to the steps taken.  So the work stays linear in the output, a
+    small target is built by first step with recursion at most `_TAIL` deep,
+    no recursion grows with the target, and the cache gains only small points.
+    """
     dim = len(target)
     steps = _nonzero_steps(dim)
     # For the target and every point above `_TAIL`: the steps that fit, each
@@ -167,6 +185,7 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
         return (_trusted_path(dim, ()),)
     # Depth first over the children in order, so paths come out sorted.
     out: list[Path] = []
+    append, new, set_dim, set_steps = out.append, object.__new__, _set_dim, _set_steps
     prefix: list[Step] = []
     stack = [iter(children[target])]
     while stack:
@@ -176,7 +195,11 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
                 stack.append(iter(children[left]))
                 break
             head = tuple(prefix)
-            out += [_trusted_path(dim, head + p.steps) for p in enumerate_paths(left)]
+            for tail in _enumerate_paths(left):  # a trusted build, inlined
+                p = new(Path)
+                set_dim(p, dim)
+                set_steps(p, head + tail.steps)
+                append(p)
             prefix.pop()
         else:
             stack.pop()
@@ -185,9 +208,16 @@ def enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# The tracer and the tests read the search's cache through the public name.
+enumerate_paths.cache_info = _enumerate_paths.cache_info
+enumerate_paths.cache_clear = _enumerate_paths.cache_clear
+
+
+@lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
 def delannoy_number(n: int, m: int) -> int:
     """D(n, m) via the recurrence D(n,m) = D(n-1,m) + D(n,m-1) + D(n-1,m-1)."""
+    if not (hasattr(n, "__index__") and hasattr(m, "__index__")):
+        raise ValueError(f"arguments must be integers, got {n!r}, {m!r}")
     if n < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
     row = [1] * (m + 1)

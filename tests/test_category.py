@@ -35,8 +35,11 @@ from delannoy.euler import (
     integrate,
     iter_signatures,
     key_indicator,
+    multiply,
     pair,
     point_mass,
+    pushforward_coordinate,
+    refine,
 )
 from delannoy.errors import InvariantError
 from delannoy.linalg import matrix_rank
@@ -44,6 +47,7 @@ from delannoy.paths import (
     Path,
     all_weights,
     canonical_representative,
+    delannoy_number,
     enumerate_paths,
     lift3,
     weights_up_to,
@@ -271,17 +275,17 @@ class TestCompositionProperties:
 
 def assert_same_as_checked(h):
     """A result built by the trusted constructor equals its checked rebuild, number types too."""
-    rebuilt = Morphism(h.out_arity, h.in_arity, dict(h.coeffs))
-    assert h == rebuilt and type(h.out_arity) is type(h.in_arity) is int
-    assert {p: type(c) for p, c in h.coeffs.items()} == {p: type(c) for p, c in rebuilt.coeffs.items()}
+    rebuilt = type(h)(*h._space(), dict(h.coeffs))
+    assert h == rebuilt and repr(h._space()) == repr(rebuilt._space())
+    assert {k: type(c) for k, c in h.coeffs.items()} == {k: type(c) for k, c in rebuilt.coeffs.items()}
     assert all(h.coeffs.values())
     with pytest.raises(TypeError):
-        h.coeffs[DIAG] = 1
-    for attr in ("coeffs", "out_arity", "in_arity"):
+        h.coeffs[None] = 1
+    for attr in ("coeffs", *type(h).__slots__):
         with pytest.raises(AttributeError):
             setattr(h, attr, getattr(h, attr))
     for clone in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
-        assert type(clone) is Morphism and clone == h and clone._space() == h._space()
+        assert type(clone) is type(h) and clone == h and clone._space() == h._space()
 
 
 class TestTrustedResults:
@@ -290,6 +294,24 @@ class TestTrustedResults:
     def test_compose_equals_checked_rebuild(self, pair):
         f, g = pair
         assert_same_as_checked(compose(f, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_other_results_equal_checked_rebuilds(self, data):
+        # the Euler route, the euler layer and the arithmetic of combinations
+        f, phi = data.draw(morphism_and_function())
+        p1, p2 = data.draw(composable(2, max_arity=3))
+        psi = apply_kernel(f, phi)
+        finer = sorted({*phi.breakpoints, F(-9, 4), F(9, 4)})
+        whole = f * 6  # the sampled coefficients are multiples of 1/2
+        results = [compose_oracle(p1, p2), psi, invariant_extension(psi), invariant_extension(phi),
+                   refine(phi, finer), multiply(phi, psi if psi.arity == phi.arity else phi),
+                   phi * F(1, 2), -phi, phi + phi, phi - phi,
+                   whole, whole * 2, -whole, whole + f, whole - whole, f * F(2, 3)]
+        if phi.arity:
+            results.append(pushforward_coordinate(phi, phi.arity - 1))
+        for h in results:
+            assert_same_as_checked(h)
 
     def test_halves_summing_to_one_are_int(self):
         # B o B = -B and A o B = -B - A - DIAG, so the halves of B sum to -1
@@ -323,6 +345,20 @@ class TestArities:
                 Morphism.from_json({"n": n, "m": m, "terms": []})
         with pytest.raises(ValueError, match="'n'"):
             Morphism.from_json({"n": 2.7, "m": 1, "terms": []})
+
+    @pytest.mark.parametrize("bad", BAD_ARITIES)
+    def test_paths_side_rejects_bad_arities(self, bad):
+        # 2.5 and "2" were read as targets, and a cached D(2, 2) answered for 2.0
+        assert len(enumerate_paths((2, 1))) == delannoy_number(2, 1) == 5
+        assert delannoy_number(2, 2) == 13
+        before = paths_module.enumerate_paths.cache_info()
+        for target in ((bad, 1), (1, bad), (bad,), (1, 1, bad)):
+            with pytest.raises(ValueError, match="target entries must be"):
+                enumerate_paths(target)
+        assert paths_module.enumerate_paths.cache_info() == before
+        for args in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match="arguments must be"):
+                delannoy_number(*args)
 
     @pytest.mark.parametrize("bad", BAD_ARITIES)
     def test_euler_side_rejects_bad_arities(self, bad):

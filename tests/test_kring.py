@@ -434,7 +434,7 @@ class TestCounitAntipode:
 
 def assert_same_as_checked(x):
     """A result built by the trusted constructor equals its checked rebuild, number types too."""
-    rebuilt = KClass(dict(x.coeffs))
+    rebuilt = type(x)(*x._space(), dict(x.coeffs))
     assert x == rebuilt and all(x.coeffs.values())
     assert {w: type(c) for w, c in x.coeffs.items()} == {w: type(c) for w, c in rebuilt.coeffs.items()}
     with pytest.raises(TypeError):
@@ -442,14 +442,19 @@ def assert_same_as_checked(x):
     with pytest.raises(AttributeError):
         x.coeffs = {}
     for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-        assert type(clone) is KClass and clone == x
+        assert type(clone) is type(x) and clone == x
 
 
 class TestTrustedResults:
     @settings(max_examples=60, deadline=None)
     @given(classes(3), classes(3))
     def test_products_and_antipodes_equal_checked_rebuilds(self, x, y):
-        for z in (tensor_mul(x, F(1, 2) * y), antipode(x * F(1, 3)), x * y):
+        whole = x * 6  # the sampled coefficients are multiples of 1/2 or 1/3
+        for z in (tensor_mul(x, F(1, 2) * y), antipode(x * F(1, 3)), x * y,
+                  concat_mul(x, y), concat_mul(whole, whole), restrict(x), restrict(whole),
+                  induce(restrict(x)), induce(restrict(whole)), restrict(x) * restrict(y),
+                  restrict(whole) * restrict(whole), whole, whole * 2, -whole, whole - whole,
+                  whole + x, x - y, -restrict(x), restrict(x) + restrict(y)):
             assert_same_as_checked(z)
 
     def test_halves_summing_to_one_are_int(self):

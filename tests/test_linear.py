@@ -185,23 +185,35 @@ TRUSTED = {
 }
 
 
+# (coefficients, the stored ones), indexed by key: an integral Fraction and a
+# zero are normalised also where every other coefficient is already an int
+TRUSTED_COEFFS = [
+    ((F(1, 2) + F(1, 2), F(0), F(-3, 2)), {0: 1, 2: F(-3, 2)}),
+    ((1, 0, -3), {0: 1, 2: -3}),
+    ((1, F(4, 2), -3), {0: 1, 1: 2, 2: -3}),
+    ((1, 2, -3), {0: 1, 1: 2, 2: -3}),
+]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trusted_construction_keeps_the_number_rule(name):
     make, keys, _ = CASES[name]
-    coeffs = {keys[0]: F(1, 2) + F(1, 2), keys[1]: F(0), keys[2]: F(-3, 2)}
-    x, checked = TRUSTED[name](coeffs), make(coeffs)
-    assert type(x) is type(checked) and x == checked and checked == x
-    assert dict(x.coeffs) == {keys[0]: 1, keys[2]: F(-3, 2)}
-    assert [type(c) for c in x.coeffs.values()] == [int, F]
-    assert x._space() == checked._space()
-    with pytest.raises(TypeError):
-        x.coeffs[keys[1]] = 1
-    for attr in ("coeffs", *type(x).__slots__):
-        with pytest.raises(AttributeError):
-            setattr(x, attr, getattr(x, attr))
-    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-        assert type(clone) is type(x) and clone == x
-        assert [type(c) for c in clone.coeffs.values()] == [int, F]
+    for values, stored in TRUSTED_COEFFS:
+        coeffs = dict(zip(keys, values))
+        x, checked = TRUSTED[name](dict(coeffs)), make(coeffs)
+        assert type(x) is type(checked) and x == checked and checked == x
+        assert dict(x.coeffs) == {keys[i]: c for i, c in stored.items()}
+        types = [type(c) for c in stored.values()]
+        assert [type(c) for c in x.coeffs.values()] == types
+        assert x._space() == checked._space()
+        with pytest.raises(TypeError):
+            x.coeffs[keys[1]] = 1
+        for attr in ("coeffs", *type(x).__slots__):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, getattr(x, attr))
+        for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(clone) is type(x) and clone == x
+            assert [type(c) for c in clone.coeffs.values()] == types
 
 
 # The immutable values are plain slotted classes; each must equal, hash, order
@@ -274,7 +286,10 @@ def test_path_normalises_and_checks_its_steps():
     assert p.steps == ((1, 0), (0, 1)) and type(p.steps) is tuple
     assert all(type(s) is tuple for s in p.steps)
     assert p == Path(dim=2, steps=((1, 0), (0, 1)))
+    assert Path(64, [(1,) * 64]).target == (1,) * 64  # no table grows with 2^dim
     for dim, steps, message in ((2, [[1, 2]], "0-1 vector"), (2, [[0, 0]], "zero vector"),
+                                (64, [(2,) + (0,) * 63], "0-1 vector"),
+                                (4, [(1, 0, 0, 0), (0, 0, 0, 0)], "zero vector"),
                                 (2, [[1]], "dimension 2"), (-1, [], "non-negative"),
                                 # the first bad step is the one reported
                                 (2, [[1, 0], [2, 0], [1, 0], [0, 0], [2, 0]], r"\(2, 0\) is not"),

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy import paths as paths_module
-from delannoy.category import _compose_basis, epsilon
+from delannoy.category import _cell_to_path, _compose_basis, epsilon
 from delannoy.errors import InvariantError
+from delannoy.euler import iter_signatures
 from delannoy.paths import (
     Path,
     all_weights,
@@ -260,6 +261,13 @@ class TestTrustedConstruction:
         got = enumerate_paths(target)
         assert all(p.target == target for p in got)
         assert_same_as_checked(list(got))
+
+    @pytest.mark.parametrize("arity, num_breakpoints", [(0, 0), (2, 0), (0, 2), (2, 1), (3, 3)])
+    def test_cell_paths(self, arity, num_breakpoints):
+        got = [_cell_to_path(sig, num_breakpoints)
+               for sig in iter_signatures(arity, num_breakpoints)]
+        assert all(p.target == (arity, num_breakpoints) for p in got)
+        assert_same_as_checked(got)
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*[st.integers(0, 3)] * 3), st.data())
