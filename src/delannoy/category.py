@@ -303,8 +303,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 def identity(n: int) -> Morphism:
     """The all-diagonal path: the indicator of the diagonal as a kernel."""
-    diag = Path(2, ((1, 1),) * _arity(n))
-    return Morphism.basis(diag)
+    n = _arity(n)
+    return Morphism._trusted(n, n, {_trusted_path(2, ((1, 1),) * n): 1})
 
 
 def _slice_signature(p: Path, axis: int) -> Signature:
@@ -449,7 +449,7 @@ def projector(word: str) -> Morphism:
         turn = ((1, 0), (0, 1)) if letter == "b" else ((0, 1), (1, 0))
         paths = [p + choice for p in paths for choice in (((1, 1),), turn)]
     n = len(word)
-    return Morphism(n, n, {Path(2, steps): 1 for steps in paths})
+    return Morphism._trusted(n, n, {_trusted_path(2, steps): 1 for steps in paths})
 
 
 def trace(f: Morphism) -> Fraction:
@@ -461,7 +461,7 @@ def trace(f: Morphism) -> Fraction:
     if f.out_arity != f.in_arity:
         raise ValueError("trace requires a square morphism")
     n = f.out_arity
-    diag = Path(2, ((1, 1),) * n)
+    diag = _trusted_path(2, ((1, 1),) * n)
     sign = -1 if n % 2 else 1
     return Fraction(sign * f.coeffs.get(diag, 0))
 

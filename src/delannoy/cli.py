@@ -224,6 +224,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _multiplicity_rows(n: int) -> list[list]:
+    if n < 0:
+        raise ValueError("n must be non-negative")
     cls = kring.schwartz_class(n)
     return [[w, cls.coeffs.get(w, 0)] for w in weights_up_to(n)]
 

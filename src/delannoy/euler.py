@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .linear import Combination, Frozen, _arity, frac_str, json_field, json_int, number, parse_frac
+from .linear import (Combination, Frozen, _arity, frac_str, json_field, json_int, linear_map,
+                     number, parse_frac)
 from .paths import check_weight
 
 Signature = tuple[int, ...]
@@ -301,8 +302,7 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
         raise ValueError("refinement must contain the original breakpoints")
     expansion = [tuple(range(lo, hi + 1)) for lo, hi in _slot_spans(points, top)]
 
-    coeffs: dict[Signature, int | Fraction] = {}
-    for sig, c in f.coeffs.items():
+    def image(sig: Signature) -> Iterator[tuple[Signature, int]]:
         groups: list[list[Signature]] = []
         i = 0
         while i < len(sig):
@@ -312,9 +312,9 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
             groups.append(list(_iter_over_slots(expansion[sig[i]], j - i)))
             i = j
         for combo in product(*groups):
-            new_sig = tuple(s for part in combo for s in part)
-            coeffs[new_sig] = coeffs.get(new_sig, 0) + c
-    return SchwartzFn._trusted(f.arity, fine, coeffs)
+            yield tuple(s for part in combo for s in part), 1
+
+    return linear_map(SchwartzFn, (f.arity, fine), image, f)
 
 
 def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
@@ -381,12 +381,8 @@ def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
     """
     if not 0 <= i < f.arity:
         raise ValueError(f"coordinate {i} out of range for arity {f.arity}")
-    coeffs: dict[Signature, int | Fraction] = {}
-    for sig, c in f.coeffs.items():
-        sign = 1 if sig[i] % 2 == 1 else -1
-        reduced = sig[:i] + sig[i + 1 :]
-        coeffs[reduced] = coeffs.get(reduced, 0) + sign * c
-    return SchwartzFn._trusted(f.arity - 1, f.breakpoints, coeffs)
+    return linear_map(SchwartzFn, (f.arity - 1, f.breakpoints),
+                      lambda sig: ((sig[:i] + sig[i + 1 :], 1 if sig[i] % 2 else -1),), f)
 
 
 def integrate_fully(f: SchwartzFn, order: Sequence[int] | None = None) -> Fraction:
@@ -427,19 +423,6 @@ class HalfOpenInterval(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "open_end", open_end)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.closed, self.open_end)
-                    == (other.kind, other.closed, other.open_end))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.closed, self.open_end))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(kind={self.kind!r}, closed={self.closed!r}, "
-                f"open_end={self.open_end!r})")
 
     def contains(self, x: Fraction) -> bool:
         if self.kind == "b":

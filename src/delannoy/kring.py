@@ -15,7 +15,8 @@ carries:
     identities, and Schur operations through integer-valued polynomials
     given by the hook content formula.
 
-Coefficients follow the number rule of `linear`: an `int` when integral, a
+Each product and operator is a rule on basis words, extended (bi)linearly by
+`linear`.  Coefficients follow its number rule: an `int` when integral, a
 `Fraction` otherwise, so a `Fraction` appears only after a real division (the
 /j step of the binomial chain) or where a caller supplies one.  In the product
 engine, `_tensor_basis` is a bottom-up dynamic programme over suffix pairs
@@ -33,11 +34,13 @@ from math import comb, factorial, prod
 from numbers import Rational
 
 from .errors import InvariantError
-from .linear import Combination, Frozen, frac_str, json_field, parse_frac
+from .linear import (Combination, Frozen, _arity, bilinear_map, frac_str, json_field,
+                     json_int, linear_map, parse_frac)
 from .paths import check_weight
 
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
 _MIXED = ("b", "w", "")  # the words of b + w + 1: what a b/w collision emits
+_SWAP = str.maketrans("bw", "wb")
 
 
 class KClass(Combination):
@@ -77,9 +80,6 @@ class KClass(Combination):
             return tensor_mul(self, other)
         return super().__mul__(other)
 
-    def concat(self, other: "KClass") -> "KClass":
-        return concat_mul(self, other)
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
@@ -112,22 +112,11 @@ class KTensorClass(Combination):
 
     @classmethod
     def pure(cls, x: KClass, y: KClass) -> "KTensorClass":
-        return cls(
-            {(u, v): cx * cy for u, cx in x.coeffs.items() for v, cy in y.coeffs.items()}
-        )
+        return bilinear_map(cls, (), lambda u, v: (((u, v), 1),), x, y)
 
     def __mul__(self, other):
         if isinstance(other, KTensorClass):
-            out: dict[tuple[str, str], int | Fraction] = {}
-            for (u1, v1), c1 in self.coeffs.items():
-                for (u2, v2), c2 in other.coeffs.items():
-                    scale = c1 * c2
-                    right = _tensor_basis(v1, v2)
-                    for lu, cl in _tensor_basis(u1, u2):
-                        for rv, cr in right:
-                            key = (lu, rv)
-                            out[key] = out.get(key, 0) + scale * cl * cr
-            return KTensorClass._trusted(out)
+            return bilinear_map(KTensorClass, (), _tensor_square_basis, self, other)
         return super().__mul__(other)
 
     def term_texts(self) -> list[str]:
@@ -151,12 +140,7 @@ class KTensorClass(Combination):
 
 def concat_mul(x: KClass, y: KClass) -> KClass:
     """Bilinear extension of word concatenation."""
-    coeffs: dict[str, int | Fraction] = {}
-    for u, cu in x.coeffs.items():
-        for v, cv in y.coeffs.items():
-            w = u + v
-            coeffs[w] = coeffs.get(w, 0) + cu * cv
-    return KClass._trusted(coeffs)
+    return bilinear_map(KClass, (), lambda u, v: ((u + v, 1),), x, y)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -193,13 +177,13 @@ def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
 
 def tensor_mul(x: KClass, y: KClass) -> KClass:
     """The standard (tensor) product, extended bilinearly from basis words."""
-    coeffs: dict[str, int | Fraction] = {}
-    for u, cu in x.coeffs.items():
-        for v, cv in y.coeffs.items():
-            scale = cu * cv
-            for w, c in _tensor_basis(u, v):
-                coeffs[w] = coeffs.get(w, 0) + scale * c
-    return KClass._trusted(coeffs)
+    return bilinear_map(KClass, (), _tensor_basis, x, y)
+
+
+def _tensor_square_basis(a: tuple[str, str], b: tuple[str, str]):
+    """The product of two basis pairs of K (x) K, factor by factor."""
+    right = _tensor_basis(a[1], b[1])
+    return [((lu, rv), cl * cr) for lu, cl in _tensor_basis(a[0], b[0]) for rv, cr in right]
 
 
 def line_class() -> KClass:
@@ -209,31 +193,25 @@ def line_class() -> KClass:
 
 def schwartz_class(n: int) -> KClass:
     """The class of functions on ordered n-tuples: the n-th concat power of b+w+1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = KClass.unit()
-    for _ in range(n):
-        out = concat_mul(out, line_class())
+    out, line = KClass.unit(), line_class()
+    for _ in range(_arity(n, "n")):
+        out = concat_mul(out, line)
     return out
 
 
 def induce(t: KTensorClass) -> KClass:
     """Induction along the point stabilizer: x (x) y -> x . (b+w+1) . y (concat)."""
-    out: dict[str, int | Fraction] = {}
-    for (u, v), c in t.coeffs.items():
-        for w in (u + mid + v for mid in _MIXED):
-            out[w] = out.get(w, 0) + c
-    return KClass._trusted(out)
+    return linear_map(KClass, (), lambda uv: [(uv[0] + mid + uv[1], 1) for mid in _MIXED], t)
 
 
 def restrict(x: KClass) -> KTensorClass:
     """Split each word between letters, plus splits that delete one letter."""
-    out: dict[tuple[str, str], int | Fraction] = {}
-    for w, c in x.coeffs.items():
-        splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
-        for key in splits + [(w[: i - 1], w[i:]) for i in range(1, len(w) + 1)]:
-            out[key] = out.get(key, 0) + c
-    return KTensorClass._trusted(out)
+    return linear_map(KTensorClass, (), _restrict_word, x)
+
+
+def _restrict_word(w: str) -> list[tuple[tuple[str, str], int]]:
+    cuts = range(len(w) + 1)
+    return [((w[:i], w[i:]), 1) for i in cuts] + [((w[: i - 1], w[i:]), 1) for i in cuts[1:]]
 
 
 def counit(x: KClass) -> Fraction:
@@ -256,17 +234,12 @@ def _antipode_word(w: str) -> tuple[tuple[str, int], ...]:
 
 def antipode(x: KClass) -> KClass:
     """The antipode, computed by its defining recursion on word length."""
-    out: dict[str, int | Fraction] = {}
-    for w, c in x.coeffs.items():
-        for v, d in _antipode_word(w):
-            out[v] = out.get(v, 0) + c * d
-    return KClass._trusted(out)
+    return linear_map(KClass, (), _antipode_word, x)
 
 
 def dual(x: KClass) -> KClass:
     """Swap the two letters in every word."""
-    table = str.maketrans("bw", "wb")
-    return KClass({w.translate(table): c for w, c in x.coeffs.items()})
+    return linear_map(KClass, (), lambda w: ((w.translate(_SWAP), 1),), x)
 
 
 def inner(x: KClass | KTensorClass, y: KClass | KTensorClass) -> Fraction:
@@ -286,8 +259,7 @@ def _binomial_chain(x: KClass, top: int) -> list[KClass]:
 
 def lambda_binomial(x: KClass, i: int) -> KClass:
     """binom(x, i) = x(x-1)...(x-i+1)/i!; coefficients must come out integral."""
-    if i < 0:
-        raise ValueError("exterior power index must be non-negative")
+    i = _arity(i, "exterior power index")
     out = _binomial_chain(x, i)[i]
     if not out.is_integral():
         raise InvariantError(f"binom(x, {i}) has non-integral coefficients: {out!r}")
@@ -301,7 +273,7 @@ def adams(x: KClass, i: int) -> KClass:
     works out to x itself; the test suite checks that identity rather than
     this function assuming it.
     """
-    if i < 1:
+    if _arity(i, "Adams index") < 1:
         raise ValueError("Adams operations are indexed by positive integers")
     e = _binomial_chain(x, i)
     p: list[KClass] = [KClass.unit(), e[1]]
@@ -315,7 +287,7 @@ def adams(x: KClass, i: int) -> KClass:
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(_arity(p, "partition part") for p in parts)
     if any(p <= 0 for p in parts):
         raise ValueError("partition parts must be positive")
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -333,19 +305,8 @@ class IntValuedPoly(Frozen):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        object.__setattr__(self, "coeffs", tuple(map(json_int, coeffs)))  # fixed and hashable
 
     def evaluate(self, t) -> Fraction:
         return Fraction(sum(c * binom_at(t, i) for i, c in enumerate(self.coeffs)))
@@ -394,8 +355,7 @@ def schur_apply(parts: Sequence[int], x: KClass) -> KClass:
 
 def hilbert_value(x: KClass, n: int) -> Fraction:
     """Dimension of the invariants under an n-point stabilizer, by class."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _arity(n, "n")
     return Fraction(sum(c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n))
 
 

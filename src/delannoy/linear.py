@@ -4,7 +4,9 @@ Hom spaces of the path category, the Grothendieck ring and its tensor square,
 and Schwartz functions are all vector spaces with a fixed basis (paths, weight
 words, pairs of words, cells).  `Combination` holds the arithmetic they share;
 a subclass supplies its space, its key check, its canonical term order and
-its JSON shape.
+its JSON shape.  A rule on basis keys (a ring product, the antipode, the
+refinement of a cell) acts on combinations through `linear_map` or
+`bilinear_map`.
 
 One number rule holds for every coefficient and breakpoint: `number` stores
 an integral value as an `int` and any other rational as a `Fraction`.  Most
@@ -15,6 +17,7 @@ makes a `Fraction`.
 `Frozen` is the base of every immutable value: the combinations, and the
 paths, intervals and polynomials, which are plain slotted classes rather
 than dataclasses so that importing the package does not load `dataclasses`.
+It gives them equality, hashing and repr over their slots, and JSON text.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ def number(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def _arity(n) -> int:
-    """n as an arity; ValueError unless it is a non-negative integer."""
-    if not hasattr(n, "__index__") or n < 0:
-        raise ValueError(f"arity must be a non-negative integer, got {n!r}")
+def _arity(n, name: str = "arity") -> int:
+    """n as an arity or other count; ValueError unless it is a non-negative int (not a bool)."""
+    if type(n) is bool or not hasattr(n, "__index__") or n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     return index(n)
 
 
@@ -88,10 +91,28 @@ class Frozen:
     around it, through `object.__setattr__` or, in its hot builds, through
     the slot descriptors themselves.  Unless it says otherwise in
     `__reduce__`, its `__slots__` are its constructor arguments in order, so
-    that pickle and copy rebuild a value through the constructor.
+    that pickle and copy rebuild a value through the constructor.  Values
+    equal when they have one class and equal slots, hash as the tuple of
+    their slots and print as `Cls(slot=value, ...)`, like a frozen dataclass;
+    a subclass with `to_json` and `from_json` reads and writes JSON text.
     """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -100,7 +121,14 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):  # for pickle and copy, which would set the slots one by one
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields()
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), separators=(",", ":"))
+
+    @classmethod
+    def loads(cls, text: str):
+        return cls.from_json(json.loads(text))
 
 
 class Combination(Frozen):
@@ -218,13 +246,31 @@ class Combination(Frozen):
 
     __rmul__ = __mul__
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str):
-        return cls.from_json(json.loads(text))
-
 
 _INT = frozenset((int,))  # the one coefficient type `_trusted` adopts as it is
 _set_coeffs = Combination.coeffs.__set__
+
+
+def linear_map(cls, space: tuple, image: Callable, x: Combination):
+    """The linear extension of a basis rule, applied to x, as `cls(*space, ...)`.
+
+    `image(key)` gives one key's image as (key, coeff) pairs.  The result is
+    built by `_trusted`, so the rule must map valid keys to valid keys.
+    """
+    out: dict = {}
+    for k, c in x.coeffs.items():
+        for t, d in image(k):
+            out[t] = out.get(t, 0) + c * d
+    return cls._trusted(*space, out)
+
+
+def bilinear_map(cls, space: tuple, image: Callable, x: Combination, y: Combination):
+    """The bilinear extension of a basis rule `image(key of x, key of y)`,
+    applied to (x, y), as `linear_map` does it for one argument."""
+    out: dict = {}
+    for u, cu in x.coeffs.items():
+        for v, cv in y.coeffs.items():
+            scale = cu * cv
+            for t, d in image(u, v):
+                out[t] = out.get(t, 0) + scale * d
+    return cls._trusted(*space, out)

@@ -18,10 +18,9 @@ here are immutable and hashable; every function is pure.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import index, sub
 
 from .errors import InvariantError
@@ -39,6 +38,7 @@ def _check_step(step: Step, dim: int) -> None:
         raise ValueError("the zero vector is not a valid step")
 
 
+@total_ordering
 class Path(Frozen):
     """A Delannoy path: an ordered tuple of nonzero 0-1 steps of fixed dimension.
 
@@ -58,6 +58,7 @@ class Path(Frozen):
         _set_dim(self, dim)
         _set_steps(self, steps)
 
+    # == and hash of its own, faster than `Frozen`'s: `compose` hashes every path it returns
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.dim == other.dim and self.steps == other.steps
@@ -69,21 +70,6 @@ class Path(Frozen):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.dim, self.steps) < (other.dim, other.steps)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.steps) <= (other.dim, other.steps)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.steps) > (other.dim, other.steps)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dim, self.steps) >= (other.dim, other.steps)
         return NotImplemented
 
     @property
@@ -105,13 +91,6 @@ class Path(Frozen):
             json_field(data, "d", json_int),
             json_field(data, "steps", lambda ss: tuple(tuple(map(json_int, s)) for s in ss)),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "Path":
-        return cls.from_json(json.loads(text))
 
 
 _set_dim, _set_steps = Path.dim.__set__, Path.steps.__set__  # Path's slot descriptors

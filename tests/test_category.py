@@ -304,7 +304,9 @@ class TestTrustedResults:
         psi = apply_kernel(f, phi)
         finer = sorted({*phi.breakpoints, F(-9, 4), F(9, 4)})
         whole = f * 6  # the sampled coefficients are multiples of 1/2
+        word = data.draw(st.text("bw", max_size=4))
         results = [compose_oracle(p1, p2), psi, invariant_extension(psi), invariant_extension(phi),
+                   projector(word), identity(len(word)),
                    refine(phi, finer), multiply(phi, psi if psi.arity == phi.arity else phi),
                    phi * F(1, 2), -phi, phi + phi, phi - phi,
                    whole, whole * 2, -whole, whole + f, whole - whole, f * F(2, 3)]

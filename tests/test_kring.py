@@ -22,6 +22,7 @@ from delannoy.kring import (
     adams,
     antipode,
     binom_at,
+    check_partition,
     concat_mul,
     counit,
     dual,
@@ -41,6 +42,7 @@ from delannoy.kring import (
 )
 from delannoy.linalg import matrix_rank
 from delannoy.paths import enumerate_paths, weights_up_to
+from test_category import BAD_ARITIES
 
 F = Fraction
 ONE = KClass.unit()
@@ -454,7 +456,8 @@ class TestTrustedResults:
                   concat_mul(x, y), concat_mul(whole, whole), restrict(x), restrict(whole),
                   induce(restrict(x)), induce(restrict(whole)), restrict(x) * restrict(y),
                   restrict(whole) * restrict(whole), whole, whole * 2, -whole, whole - whole,
-                  whole + x, x - y, -restrict(x), restrict(x) + restrict(y)):
+                  whole + x, x - y, -restrict(x), restrict(x) + restrict(y), dual(x), dual(whole),
+                  KTensorClass.pure(x, y), KTensorClass.pure(whole, whole)):
             assert_same_as_checked(z)
 
     def test_halves_summing_to_one_are_int(self):
@@ -476,6 +479,20 @@ class TestTrustedResults:
         s = antipode(word("b") - word("w"))  # S(b) = -b - 2 and S(w) = -w - 2
         assert dict(s.coeffs) == {"b": -1, "w": 1}
         assert_same_as_checked(s)
+
+
+@pytest.mark.parametrize("bad", BAD_ARITIES + [True])
+def test_integer_arguments_reject_non_integers(bad):
+    # 2.7 and True were read as parts 2 and 1, and 2.0 raised TypeError elsewhere
+    b = word("b")
+    calls = [lambda: check_partition([bad]), lambda: check_partition([2, bad]),
+             lambda: schur_apply((bad,), b), lambda: lambda_binomial(b, bad),
+             lambda: adams(b, bad), lambda: hilbert_value(b, bad), lambda: schwartz_class(bad)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(ValueError, match="positive"):
+        adams(b, 0)
 
 
 class TestDualityPairing:

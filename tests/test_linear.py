@@ -272,8 +272,11 @@ def test_path_equals_hashes_and_orders_as_its_pair():
     p = ps[0]
     for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
         assert getattr(p, op)((p.dim, p.steps)) is NotImplemented
-    with pytest.raises(TypeError):
-        p < (p.dim, p.steps)
+    for other in ((p.dim, p.steps), 1):
+        for compare in (lambda: p < other, lambda: p <= other, lambda: p > other,
+                        lambda: p >= other, lambda: other < p):
+            with pytest.raises(TypeError):
+                compare()
 
 
 def test_path_repr():
@@ -306,6 +309,7 @@ def test_half_open_interval_stores_numbers_and_checks_its_ends():
     assert hash(iv) == hash(("b", 2, 0))
     assert repr(HalfOpenInterval("w", F(1, 2), None)) == \
         "HalfOpenInterval(kind='w', closed=Fraction(1, 2), open_end=None)"
+    assert repr(HalfOpenInterval("b", 1, 0)) == "HalfOpenInterval(kind='b', closed=1, open_end=0)"
     for args in (("x", 0, 1), ("b", 0, 1), ("w", 1, 0), ("w", 1, 1)):
         with pytest.raises(ValueError):
             HalfOpenInterval(*args)
@@ -315,6 +319,27 @@ def test_int_valued_poly_equals_and_prints_like_a_record():
     assert IntValuedPoly((0, 1)) == IntValuedPoly(coeffs=(0, 1)) != IntValuedPoly((0, 1, 0))
     assert hash(IntValuedPoly((0, 1))) == hash(((0, 1),))
     assert repr(IntValuedPoly((0, 0, 1))) == "IntValuedPoly(coeffs=(0, 0, 1))"
+    assert repr(kring.schur_dimension_poly((2, 1))) == "IntValuedPoly(coeffs=(0, 0, 2, 2))"
+
+
+def test_int_valued_poly_holds_a_tuple_of_ints():
+    # a list was kept as given: unhashable, and changed by appending to it
+    p = IntValuedPoly([1, 2])
+    assert p.coeffs == (1, 2) and type(p.coeffs) is tuple
+    assert hash(p) == hash(IntValuedPoly((1, 2))) and p == IntValuedPoly((1, 2))
+    with pytest.raises(AttributeError):
+        p.coeffs.append(5)
+    for bad in ((1.5,), (1, True), (F(1),), ("1",)):
+        with pytest.raises(ValueError):
+            IntValuedPoly(bad)
+
+
+def test_values_of_other_classes_are_unequal():
+    values = [HalfOpenInterval("b", 1, 0), IntValuedPoly((0, 1)), Path(2, ((1, 1),)),
+              KClass.word("b"), ("b", 1, 0), ((0, 1),), (2, ((1, 1),))]
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert (x == y) == (i == j) and (x != y) == (i != j)
 
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
