@@ -16,7 +16,9 @@ otherwise.  The same coefficients arise by multiplying the kernels under
 Euler-characteristic integration; compose_oracle computes them that way, and
 the two routes are checked against each other in the test suite.  That route
 pairs kernel slices as raw cells, not as SchwartzFn objects, over slot layouts
-read from paths: the result path's, or the path of an output cell.
+read from paths: the result path's, or the path of an output cell.  The cells
+of a target, their paths and layouts depend on the target alone, so they are
+read from one bounded table (`_cells`) built once per target.
 
 `compose` works on whole morphisms.  Each operand becomes a suffix graph: a
 node is (the coefficient of a path that ends there, or None; its sorted
@@ -55,17 +57,19 @@ import threading
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 from operator import attrgetter, mul
 
 from .errors import InvariantError
 from .euler import (
     SchwartzFn,
     Signature,
+    _key_slots,
     _pair_spans,
     _slot_spans,
     indicator_of_cell,
     iter_signatures,
-    key_indicator,
 )
 from .linear import Combination, _arity, frac_str, json_field, json_int, parse_frac
 from .paths import (
@@ -74,7 +78,6 @@ from .paths import (
     _MOVES,
     _trusted_path,
     check_weight,
-    enumerate_paths,
     lift3,
 )
 
@@ -370,13 +373,36 @@ def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
     return _trusted_path(2, tuple(steps))
 
 
-def _layout(p: Path) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _layout(p: Path) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The slot spans of p's axis-0 points and of its axis-1 points over the
     canonical representative of O_p, whose k-th step is slot 2k - 1."""
     steps = p.steps
     top = 2 * len(steps)
-    return (_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], top),
-            _slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], top))
+    return (tuple(_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], top)),
+            tuple(_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], top)))
+
+
+# Targets whose cell table `_cells` keeps.  A table holds D(n, m) cells: one of
+# D(5, 5) = 1 683 cells takes about 0.9 MiB, and D(6, 6) = 8 989 about 5.4 MiB.
+# A round of the euler-oracle benchmark reads 6 to 10 targets of at most
+# D(4, 3) = 129 cells; `verify all` reads 25 targets of up to D(5, 4) = 681.
+_CELLS_LIMIT = 64
+
+
+@lru_cache(maxsize=_CELLS_LIMIT, typed=True)  # typed, so that 2.0 misses 2 and is refused
+def _cells(n: int, m: int) -> tuple[tuple, ...]:
+    """The cells of arity n over m breakpoints in `iter_signatures` order, each
+    as (signature, its path to (n, m), the path's two `_layout` spans).
+
+    Everything the Euler route reads about a target's cells depends on the
+    target alone, so it is built once here and shared, immutable, by every call.
+    """
+    out = []
+    spans: dict = {}  # each (lo, hi) span once, so that the table holds no copies
+    for sig in iter_signatures(n, m):
+        p = _cell_to_path(sig, m)
+        out.append((sig, p, *(tuple(map(spans.setdefault, side, side)) for side in _layout(p))))
+    return tuple(out)
 
 
 def compose_oracle(p1: Path, p2: Path) -> Morphism:
@@ -385,7 +411,7 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     The product kernel is constant on each orbit, so its coefficient on a
     basis path p3 is read off at the canonical representative (z, x) of O_p3:
     pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x), each
-    one cell over the layout of p3.
+    one cell over the layout of p3, read from the cell table of (n, l).
     """
     n, m1 = p1.target
     m2, l = p2.target
@@ -393,26 +419,25 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
         raise ValueError(f"inner targets differ: {p1.target} vs {p2.target}")
     sig1, sig2 = _slice_signature(p1, 1), _slice_signature(p2, 2)
     coeffs: dict[Path, int | Fraction] = {}
-    for p3 in enumerate_paths((n, l)):
-        spans_z, spans_x = _layout(p3)
+    for _, p3, spans_z, spans_x in _cells(n, l):
         c = _pair_spans([([spans_z[s] for s in sig1], 1)], [([spans_x[t] for t in sig2], 1)])
         if c:  # only nonzero ints, so that `_trusted` adopts the dict
             coeffs[p3] = c
     return Morphism._trusted(n, l, coeffs)
 
 
-def _slice_pairings(paths: Sequence[Path], cells: Iterable[Path],
+def _slice_pairings(paths: Sequence[Path], cells: Iterable[tuple],
                     phi: SchwartzFn) -> Iterator[list]:
-    """For each output cell over phi's breakpoints, given by its path, the
+    """For each output cell over phi's breakpoints, an entry of `_cells`, the
     pairing of every path's slice y -> A_p(x, y) with phi, at a point x of
     the cell.
 
     Only the order of x among the breakpoints matters: the cell's path.  Its
-    layout and phi's spans are computed once per output cell, for all paths.
+    layout comes from the table, and phi's spans are read once per output
+    cell, for all paths.
     """
     sigs = [_slice_signature(p, 1) for p in paths]
-    for cell in cells:
-        spans_x, spans_phi = _layout(cell)
+    for _, _, spans_x, spans_phi in cells:
         right = [([spans_phi[t] for t in b], d) for b, d in phi.coeffs.items()]
         yield [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
 
@@ -421,15 +446,13 @@ def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     """Act on a function: (A phi)(x) = integral of A(x, y) phi(y) over y.
 
     The result is constant on cells over phi's breakpoints; it is evaluated
-    once per output cell, through the cell's path.
+    once per output cell, through the cell's layout in the cell table.
     """
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
-    m = len(phi.breakpoints)
-    sigs = list(iter_signatures(f.out_arity, m))
-    cells = (_cell_to_path(sig, m) for sig in sigs)
+    cells = _cells(f.out_arity, len(phi.breakpoints))
     coeffs: dict[Signature, int | Fraction] = {}
-    for sig, values in zip(sigs, _slice_pairings(list(f.coeffs), cells, phi)):
+    for (sig, *_), values in zip(cells, _slice_pairings(list(f.coeffs), cells, phi)):
         val = sum(map(mul, f.coeffs.values(), values))
         if val:
             coeffs[sig] = val
@@ -476,27 +499,59 @@ def invariant_extension(x: SchwartzFn) -> Morphism:
     return Morphism._trusted(x.arity, m, {_cell_to_path(sig, m): c for sig, c in x.coeffs.items()})
 
 
+def _key_rows(word: str, cells: Sequence[tuple]) -> list[dict[int, int]]:
+    """The matrix of x -> apply_kernel(invariant_extension(x), psi) on the
+    cells of arity m over n = len(word) breakpoints (entries of `_cells`), psi
+    = key_indicator(word, (1, ..., n)), as one {column: value} row per cell.
+
+    The entry of cell x and column p pairs the slice y -> A_p(x, y) with psi.
+    psi is 1 on the cells that pick one of two slots per letter, a product
+    over coordinates, so that pairing is the product over coordinates i of
+    the sum of the meet signs of the slice's slot i with letter i's two
+    slots.  Per cell, each coordinate's nonzero factors are found once, and
+    only the columns made of them are visited.
+    """
+    column = {_slice_signature(p, 1): j for j, (_, p, _, _) in enumerate(cells)}
+    letters = _key_slots(word)
+    rows = []
+    for _, _, spans_x, spans_psi in cells:
+        factors = []
+        for a, b in letters:  # a < b: a slot outside [lo, hi] meets neither
+            right = [([spans_psi[a]], 1), ([spans_psi[b]], 1)]
+            lo, hi = spans_psi[a][0], spans_psi[b][1]
+            factors.append([(s, v) for s, span in enumerate(spans_x)
+                            if span[0] <= hi and lo <= span[1]
+                            and (v := _pair_spans([([span], 1)], right))])
+        row = {}
+        for combo in product(*factors):
+            j = column.get(tuple(s for s, _ in combo))
+            if j is not None:
+                row[j] = prod(v for _, v in combo)
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
 def multiplicity_rank(word: str, m: int) -> int:
     """Multiplicity of the simple of a weight word inside arity-m functions.
 
     Realized as the rank of the idempotent e(x) = apply_kernel(
     invariant_extension(x), key_indicator(word, a)) acting on the span of the
-    cells of arity m over n = len(word) breakpoints, read in one pass over the
-    cells' paths.  Idempotency is checked; the rank of an idempotent is its
-    trace, which must come out integral.
+    cells of arity m over n = len(word) breakpoints, read as sparse rows
+    (`_key_rows`).  Idempotency is checked by squaring the sparse matrix; the
+    rank of an idempotent is its trace, which must come out integral.
     """
     check_weight(word)
-    n = len(word)
-    psi = key_indicator(word, tuple(range(1, n + 1)))
-    paths = [_cell_to_path(sig, n) for sig in iter_signatures(m, n)]
-    # the output cells are the paths' own cells, so rows come in the order of the columns
-    rows = list(_slice_pairings(paths, paths, psi))
-    cols = [list(col) for col in zip(*rows)]
-    square = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-    if square != rows:
-        raise InvariantError(f"operator for {word!r} at arity {m} is not idempotent")
-    rank = sum(row[i] for i, row in enumerate(rows))
+    rows = _key_rows(word, _cells(m, len(word)))
+    for i, row in enumerate(rows):
+        square: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in rows[k].items():
+                square[j] = square.get(j, 0) + a * b
+        if {j: c for j, c in square.items() if c} != row:
+            raise InvariantError(
+                f"operator for {word!r} at arity {m} is not idempotent (row {i})")
+    rank = sum(row.get(i, 0) for i, row in enumerate(rows))
     if rank.denominator != 1:
         raise InvariantError(f"idempotent for {word!r} at arity {m} has trace {rank}")
     return int(rank)

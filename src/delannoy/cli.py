@@ -35,6 +35,13 @@ PATHS_LIMIT = 100_000
 # of the time.
 COMPOSITION_PAIRS_LIMIT = 20_000
 
+# The longest word `ring antipode` takes.  Its cost grows about sixfold with
+# every two letters: bwbwbwbwbwbwbw (14 letters) takes about 1.8 s and 93 MiB,
+# bwbw...bw with 16 letters about 11 s and 320 MiB, and one of 1 200 letters
+# runs into the recursion limit of `kring._antipode_word`.  A word of b's
+# alone is cheap.
+ANTIPODE_WORD_LIMIT = 14
+
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     import csv
@@ -181,6 +188,11 @@ def cmd_ring(args) -> int:
         t = KTensorClass.pure(KClass.word(args.x), KClass.word(args.y))
         _emit_kclass(args, kring.induce(t))
     elif op == "antipode":
+        if len(args.word) > ANTIPODE_WORD_LIMIT:
+            raise ValueError(
+                f"the word has {len(args.word)} letters, more than the "
+                f"{ANTIPODE_WORD_LIMIT} that 'ring antipode' takes"
+            )
         _emit_kclass(args, kring.antipode(KClass.word(args.word)))
     elif op == "adams":
         if args.n < 1:

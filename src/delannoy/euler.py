@@ -27,7 +27,9 @@ open interval.  Integer coefficients give an integer sum.
 Indicators are written down cell by cell, with no search over the cells: a
 word of length n has the 2^n cells that pick, per letter, one of its two
 slots, and a tuple of half-open intervals has the product of the slot runs
-that the intervals cover.
+that the intervals cover.  `category.multiplicity_rank` reads the same two
+slots per letter (`_key_slots`) to pair with the key indicator factor by
+factor.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def cell_representative(breakpoints: Sequence[Fraction], sig: Signature) -> tupl
 
     Coordinates on point slots sit on the breakpoint itself; k coordinates
     sharing a gap are spread at rational positions inside it.  The engine
-    reads a cell's layout among the breakpoints from its path instead.
+    reads a cell's layout among the breakpoints from its path instead, in the
+    cell table of `category`.
     """
     bp = tuple(breakpoints)
     m = len(bp)
@@ -292,7 +295,8 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
 
     A gap slot splits into the alternating run gap/point/gap/... of new slots
     it contains; coordinates sharing a gap redistribute over the run in all
-    weakly increasing ways.
+    weakly increasing ways.  Each (slot, group size) is expanded once per
+    call, into a table that every cell reads.
     """
     fine = _check_breakpoints(finer)
     if fine == f.breakpoints:
@@ -301,18 +305,17 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
     if top != 2 * len(fine):
         raise ValueError("refinement must contain the original breakpoints")
     expansion = [tuple(range(lo, hi + 1)) for lo, hi in _slot_spans(points, top)]
+    groups: dict[tuple[int, int], tuple[Signature, ...]] = {}  # (slot, group size) -> images
 
-    def image(sig: Signature) -> Iterator[tuple[Signature, int]]:
-        groups: list[list[Signature]] = []
-        i = 0
-        while i < len(sig):
-            j = i
-            while j < len(sig) and sig[j] == sig[i]:
-                j += 1
-            groups.append(list(_iter_over_slots(expansion[sig[i]], j - i)))
-            i = j
-        for combo in product(*groups):
-            yield tuple(s for part in combo for s in part), 1
+    def image(sig: Signature) -> list[tuple[Signature, int]]:
+        out = [()]
+        for s in dict.fromkeys(sig):
+            key = (s, sig.count(s))
+            parts = groups.get(key)
+            if parts is None:
+                parts = groups[key] = tuple(_iter_over_slots(expansion[s], key[1]))
+            out = [head + part for head in out for part in parts]
+        return [(t, 1) for t in out]
 
     return linear_map(SchwartzFn, (f.arity, fine), image, f)
 
@@ -475,6 +478,10 @@ def key_indicator(word: str, a: Sequence[Fraction]) -> SchwartzFn:
     bp = _check_breakpoints(a)
     if len(word) != len(bp):
         raise ValueError("word length must match the number of basepoints")
-    slots = [(2 * i, 2 * i + 1) if letter == "b" else (2 * i + 1, 2 * i + 2)
-             for i, letter in enumerate(word)]
-    return SchwartzFn(len(bp), bp, dict.fromkeys(product(*slots), 1))
+    return SchwartzFn(len(bp), bp, dict.fromkeys(product(*_key_slots(word)), 1))
+
+
+def _key_slots(word: str) -> list[tuple[int, int]]:
+    """The two slots letter i of a word allows, over its basepoints."""
+    return [(2 * i, 2 * i + 1) if letter == "b" else (2 * i + 1, 2 * i + 2)
+            for i, letter in enumerate(word)]

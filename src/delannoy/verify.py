@@ -201,6 +201,10 @@ def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None
     )
     report.add("rank equals binom(4, len) for words of length <= 3", ok)
     ok = all(
+        category.multiplicity_rank(word, 5) == comb(5, len(word)) for word in weights_up_to(4)
+    )
+    report.add("rank equals binom(5, len) for words of length <= 4", ok)
+    ok = all(
         sum(category.multiplicity_rank(w, n) for w in weights_up_to(n)) == 3**n
         for n in range(4)
     )

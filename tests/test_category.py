@@ -1,7 +1,9 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -666,6 +668,70 @@ class TestApplyKernelLayout:
         got = apply_kernel(f, phi)
         assert paths_module.enumerate_paths.cache_info() == before
         assert len(got.coeffs) > 0 and all(len(sig) == 4 for sig in got.coeffs)
+
+
+class TestCellTable:
+    """`category._cells`: each target's cells, paths and layouts, built once."""
+
+    def test_entries_are_the_cells_paths_and_layouts(self):
+        for n, m in itertools.product(range(4), repeat=2):
+            table = category_module._cells(n, m)
+            assert [sig for sig, *_ in table] == list(iter_signatures(n, m))
+            assert {p for _, p, _, _ in table} == set(enumerate_paths((n, m)))
+            for sig, p, spans_out, spans_in in table:
+                assert p == category_module._cell_to_path(sig, m)
+                assert (spans_out, spans_in) == category_module._layout(p)
+                assert type(spans_out) is tuple and type(spans_in) is tuple
+                assert all(type(span) is tuple for span in spans_out + spans_in)
+
+    def test_stays_within_its_bound(self):
+        cells = category_module._cells
+        limit = category_module._CELLS_LIMIT
+        assert cells.cache_info().maxsize == limit
+        for n, m in itertools.islice(itertools.product(range(limit), range(2)), limit + 8):
+            cells(n, m)
+        assert cells.cache_info().currsize == limit
+        assert cells(1, 1) is cells(1, 1)
+
+
+class TestKeyRows:
+    """The factored pairing with the key indicator, against the generic one."""
+
+    @staticmethod
+    def generic_rows(word, m):
+        n = len(word)
+        cells = category_module._cells(m, n)
+        psi = key_indicator(word, tuple(range(1, n + 1)))
+        return list(category_module._slice_pairings([p for _, p, _, _ in cells], cells, psi))
+
+    @pytest.mark.parametrize("word, m", [(w, m) for w in weights_up_to(3) for m in range(5)]
+                             + [("bw", 5), ("wbb", 5)])
+    def test_rows_equal_generic_pairings(self, word, m):
+        want = self.generic_rows(word, m)
+        rows = category_module._key_rows(word, category_module._cells(m, len(word)))
+        assert [[row.get(j, 0) for j in range(len(want))] for row in rows] == want
+        assert 0 not in [v for row in rows for v in row.values()]
+
+    def test_non_idempotent_operator_raises(self, monkeypatch):
+        # both gaps around each basepoint, without the basepoint: not a projector
+        def gaps(word):
+            return [(2 * i, 2 * i + 2) for i in range(len(word))]
+
+        monkeypatch.setattr(category_module, "_key_slots", gaps)
+        with pytest.raises(InvariantError, match="'bw' at arity 3 is not idempotent"):
+            multiplicity_rank.__wrapped__("bw", 3)
+
+    def test_non_idempotent_operator_raises_under_O(self):
+        code = ("from delannoy import category, errors\n"
+                "category._key_slots = lambda w: [(2 * i, 2 * i + 2) for i in range(len(w))]\n"
+                "try:\n"
+                "    category.multiplicity_rank('bw', 3)\n"
+                "except errors.InvariantError as exc:\n"
+                "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(category_module.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.startswith("operator for 'bw' at arity 3 is not idempotent")
 
 
 class TestMultiplicityRank:

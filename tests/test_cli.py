@@ -363,6 +363,16 @@ def test_ring_mul_long_word_matches_closed_form(n):
     assert {t["word"]: t["coeff"] for t in terms} == {w: f"{c}/1" for w, c in expected.items()}
 
 
+def test_antipode_of_a_long_word_is_a_usage_error(capsys):
+    # 1 200 letters ran into the recursion limit: exit 1 with a traceback
+    proc = _run_process("ring", "antipode", "--word", "b" * 1200)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the word has 1200 letters, more than the "
+                           f"{cli.ANTIPODE_WORD_LIMIT} that 'ring antipode' takes\n")
+    code, out = run_cli(capsys, "ring", "antipode", "--word", "b" * cli.ANTIPODE_WORD_LIMIT)
+    assert code == 0 and out
+
+
 def _pinned_invocations() -> list[tuple[str, ...]]:
     """A fixed set of in-process invocations over every output-producing command."""
     formats = ("json", "csv", "pretty")

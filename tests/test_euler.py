@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,39 @@ class TestRefine:
             f = random_fn(rng, 2)
             extra = sorted(set(f.breakpoints) | {F(99)})
             assert refine(f, extra) == f
+
+
+def cell_of(breakpoints, x):
+    """The signature of the cell that holds the tuple x, over the breakpoints."""
+    sig = []
+    for v in x:
+        k = bisect_left(breakpoints, v)
+        sig.append(2 * k + 1 if k < len(breakpoints) and breakpoints[k] == v else 2 * k)
+    return tuple(sig)
+
+
+class TestRefineTable:
+    """`refine` reads each (slot, group size) from a table built once per call."""
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_matches_values_at_cell_points(self, arity):
+        rng = random.Random(16 + arity)
+        grouped = 0
+        for _ in range(20):
+            bp = sorted(rng.sample(range(-6, 7), rng.randint(1, 2)))
+            sigs = list(iter_signatures(arity, len(bp)))
+            f = SchwartzFn(arity, bp, {sig: rng.choice([-3, -1, 1, 2, F(1, 2)])
+                                       for sig in rng.sample(sigs, min(len(sigs), 8))})
+            fine = sorted(set(bp) | {F(rng.randint(-14, 14), 2) for _ in range(rng.randint(1, 2))})
+            got = refine(f, fine)
+            want = {}
+            for sig in iter_signatures(arity, len(fine)):
+                c = f.coeffs.get(cell_of(bp, cell_representative(fine, sig)), 0)
+                if c:
+                    want[sig] = c
+            assert got.breakpoints == tuple(fine) and got.coeffs == want
+            grouped += any(a == b and a % 2 == 0 for sig in f.coeffs for a, b in zip(sig, sig[1:]))
+        assert grouped >= 15  # most functions have a gap holding two coordinates or more
 
 
 class TestPairing:
