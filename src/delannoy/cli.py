@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import sys
-import threading
 from functools import lru_cache
 
 from . import category, kring
@@ -328,152 +327,102 @@ def cmd_export(args) -> int:
     return 0
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Sub-parsers whose arguments are added only when argparse selects one.
-
-    `command(name, help)` registers a sub-parser with its help text, which
-    the parent's `-h` and "invalid choice" messages show, and decorates the
-    function that adds its arguments.  That function runs the first time
-    the sub-parser is selected, before it parses the rest of the command
-    line, so a process builds the arguments of the command it runs and no
-    others.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._unbuilt = {}
-        self._lock = threading.Lock()  # one parser serves every thread of a process
-
-    def command(self, name: str, help: str):
-        self.add_parser(name, help=help)
-
-        def register(add_arguments):
-            self._unbuilt[name] = add_arguments
-            return add_arguments
-
-        return register
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        with self._lock:
-            add_arguments = self._unbuilt.pop(values[0], None)
-            if add_arguments is not None:
-                add_arguments(self.choices[values[0]])
-        super().__call__(parser, namespace, values, option_string)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delannoy",
         description="Exact computations with Delannoy paths, signed path composition, and the weight-word ring.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="pretty")
 
-    @sub.command("count", help="Delannoy number D(n, m)")
-    def _(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        add_format(p)
-        p.set_defaults(func=cmd_count)
+    p = sub.add_parser("count", help="Delannoy number D(n, m)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    add_format(p)
+    p.set_defaults(func=cmd_count)
 
-    @sub.command("paths", help="enumerate the paths to (n, m)")
-    def _(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        add_format(p)
-        p.set_defaults(func=cmd_paths)
+    p = sub.add_parser("paths", help="enumerate the paths to (n, m)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    add_format(p)
+    p.set_defaults(func=cmd_paths)
 
-    @sub.command("compose", help="compose two basis paths")
-    def _(p):
-        p.add_argument("--p1", required=True, help="path JSON (object or steps array)")
-        p.add_argument("--p2", required=True, help="path JSON (object or steps array)")
-        p.add_argument("--oracle", action="store_true", help="use the integration oracle")
-        add_format(p)
-        p.set_defaults(func=cmd_compose)
+    p = sub.add_parser("compose", help="compose two basis paths")
+    p.add_argument("--p1", required=True, help="path JSON (object or steps array)")
+    p.add_argument("--p2", required=True, help="path JSON (object or steps array)")
+    p.add_argument("--oracle", action="store_true", help="use the integration oracle")
+    add_format(p)
+    p.set_defaults(func=cmd_compose)
 
-    @sub.command("projector", help="projector of a weight word")
-    def _(p):
-        p.add_argument("--word", required=True)
-        add_format(p)
-        p.set_defaults(func=cmd_projector)
+    p = sub.add_parser("projector", help="projector of a weight word")
+    p.add_argument("--word", required=True)
+    add_format(p)
+    p.set_defaults(func=cmd_projector)
 
-    @sub.command("trace", help="categorical trace of a morphism or projector")
-    def _(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--morphism", help="morphism JSON")
-        group.add_argument("--word", help="weight word (traces its projector)")
-        add_format(p)
-        p.set_defaults(func=cmd_trace)
+    p = sub.add_parser("trace", help="categorical trace of a morphism or projector")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--morphism", help="morphism JSON")
+    group.add_argument("--word", help="weight word (traces its projector)")
+    add_format(p)
+    p.set_defaults(func=cmd_trace)
 
-    @sub.command("ring", help="Grothendieck ring operations")
-    def _(p):
-        ring_sub = p.add_subparsers(dest="ring_op", required=True, action=_Subcommands)
+    p = sub.add_parser("ring", help="Grothendieck ring operations")
+    p.set_defaults(func=cmd_ring)
+    ring_sub = p.add_subparsers(dest="ring_op", required=True)
 
-        @ring_sub.command("mul", help="product of two basis words")
-        def _(q):
-            q.add_argument("--x", required=True)
-            q.add_argument("--y", required=True)
-            add_format(q)
+    q = ring_sub.add_parser("mul", help="product of two basis words")
+    q.add_argument("--x", required=True)
+    q.add_argument("--y", required=True)
+    add_format(q)
 
-        @ring_sub.command("res", help="restriction of a basis word")
-        def _(q):
-            q.add_argument("--word", required=True)
-            add_format(q)
+    q = ring_sub.add_parser("res", help="restriction of a basis word")
+    q.add_argument("--word", required=True)
+    add_format(q)
 
-        @ring_sub.command("ind", help="induction of a pair of basis words")
-        def _(q):
-            q.add_argument("--x", required=True)
-            q.add_argument("--y", required=True)
-            add_format(q)
+    q = ring_sub.add_parser("ind", help="induction of a pair of basis words")
+    q.add_argument("--x", required=True)
+    q.add_argument("--y", required=True)
+    add_format(q)
 
-        @ring_sub.command("antipode", help="antipode of a basis word")
-        def _(q):
-            q.add_argument("--word", required=True)
-            add_format(q)
+    q = ring_sub.add_parser("antipode", help="antipode of a basis word")
+    q.add_argument("--word", required=True)
+    add_format(q)
 
-        @ring_sub.command("adams", help="Adams operation on a basis word")
-        def _(q):
-            q.add_argument("--word", required=True)
-            q.add_argument("--n", type=int, required=True, help="Adams index")
-            add_format(q)
+    q = ring_sub.add_parser("adams", help="Adams operation on a basis word")
+    q.add_argument("--word", required=True)
+    q.add_argument("--n", type=int, required=True, help="Adams index")
+    add_format(q)
 
-        @ring_sub.command("schur", help="Schur operation on a basis word")
-        def _(q):
-            q.add_argument("--lambda", dest="partition", required=True, help="partition, e.g. 2,1")
-            q.add_argument("--word", default="b")
-            add_format(q)
+    q = ring_sub.add_parser("schur", help="Schur operation on a basis word")
+    q.add_argument("--lambda", dest="partition", required=True, help="partition, e.g. 2,1")
+    q.add_argument("--word", default="b")
+    add_format(q)
 
-        @ring_sub.command("hilbert", help="invariant dimension of a basis word")
-        def _(q):
-            q.add_argument("--word", required=True)
-            q.add_argument("--n", type=int, required=True)
-            add_format(q)
+    q = ring_sub.add_parser("hilbert", help="invariant dimension of a basis word")
+    q.add_argument("--word", required=True)
+    q.add_argument("--n", type=int, required=True)
+    add_format(q)
 
-        p.set_defaults(func=cmd_ring)
+    p = sub.add_parser("decompose", help="multiplicity table of the arity-n class")
+    p.add_argument("--n", type=int, required=True)
+    add_format(p)
+    p.set_defaults(func=cmd_decompose)
 
-    @sub.command("decompose", help="multiplicity table of the arity-n class")
-    def _(p):
-        p.add_argument("--n", type=int, required=True)
-        add_format(p)
-        p.set_defaults(func=cmd_decompose)
+    p = sub.add_parser("verify", help="run verification suites")
+    p.add_argument("suite", nargs="?", default="all",
+                   help="suite identifier (e.g. 04-projectors or 4), or 'all'")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_verify, format="pretty")
 
-    @sub.command("verify", help="run verification suites")
-    def _(p):
-        p.add_argument("suite", nargs="?", default="all",
-                       help="suite identifier (e.g. 04-projectors or 4), or 'all'")
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_verify, format="pretty")
-
-    @sub.command("export", help="write a table to a file or stdout")
-    def _(p):
-        p.add_argument("--table", choices=("multiplicities", "composition"), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.set_defaults(func=cmd_export)
+    p = sub.add_parser("export", help="write a table to a file or stdout")
+    p.add_argument("--table", choices=("multiplicities", "composition"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=cmd_export)
 
     return parser
 

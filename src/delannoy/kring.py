@@ -359,20 +359,6 @@ def hilbert_value(x: KClass, n: int) -> Fraction:
     return Fraction(sum(c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n))
 
 
-def is_lyndon(word: str) -> bool:
-    """Nonempty and strictly smaller than every proper suffix ('b' < 'w')."""
-    if not word:
-        return False
-    return all(word < word[i:] for i in range(1, len(word)))
-
-
-def lyndon_weights(n: int) -> list[str]:
-    """All Lyndon words of length n over the ordered alphabet b < w."""
-    from .paths import all_weights
-
-    return [w for w in all_weights(n) if is_lyndon(w)]
-
-
 def shuffle_words(u: str, v: str) -> Iterable[str]:
     """All collision-free interleavings of two words, with multiplicity."""
     if not u:

@@ -24,7 +24,7 @@ from functools import lru_cache, total_ordering
 from operator import index, sub
 
 from .errors import InvariantError
-from .linear import Frozen, json_field, json_int
+from .linear import Frozen, _arity, json_field, json_int
 
 Step = tuple[int, ...]
 
@@ -48,8 +48,7 @@ class Path(Frozen):
     __slots__ = ("dim", "steps")
 
     def __init__(self, dim: int, steps: Sequence[Sequence[int]]) -> None:
-        if dim < 0:
-            raise ValueError("dimension must be non-negative")
+        dim = _arity(dim, "dimension")
         steps = tuple(map(tuple, steps))
         valid = _VALID_STEPS.get(dim)
         if valid is None or not valid.issuperset(steps):

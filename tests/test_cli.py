@@ -191,8 +191,8 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 
 def test_threads_share_a_fresh_parser():
-    # the first threads to select a command race to add its arguments; each
-    # must parse with all of them
+    # one built parser serves every thread of a process: concurrent parses of
+    # different commands each get the full namespace of their own command
     argvs = [["count", "--n", "1", "--m", "2"], ["ring", "adams", "--word", "b", "--n", "3"],
              ["trace", "--word", "bw"], ["export", "--table", "composition", "--n", "1"]] * 2
     switch = sys.getswitchinterval()
@@ -448,14 +448,35 @@ def test_pinned_cli_bytes(capsys):
     assert digest.hexdigest() == PINNED_CLI_SHA256
 
 
+COMMANDS = ("count", "paths", "compose", "projector", "trace", "ring", "decompose", "verify",
+            "export")
+RING_OPS = ("mul", "res", "ind", "antipode", "adams", "schur", "hilbert")
+
+
+def _help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    return captured.out
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    # the argparse bytes are pinned on one Python only; this holds on every one
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, names in [(("-h",), COMMANDS), (("ring", "-h"), RING_OPS)]:
+        text = _help_text(capsys, *argv)
+        assert "{" + ",".join(names) + "}" in text
+        assert set(names) <= {line.split()[0] for line in text.splitlines() if line.startswith("    ")}
+    for argv in [(c,) for c in COMMANDS] + [("ring", op) for op in RING_OPS]:
+        assert _help_text(capsys, *argv, "-h").startswith(f"usage: delannoy {' '.join(argv)} ")
+
+
 def _argparse_invocations() -> list[tuple[str, ...]]:
     """Help for every parser, and usage errors that argparse itself reports."""
-    commands = ("count", "paths", "compose", "projector", "trace", "ring", "decompose",
-                "verify", "export")
-    ring_ops = ("mul", "res", "ind", "antipode", "adams", "schur", "hilbert")
     out = [("-h",), ("--help",)]
-    out += [(c, "-h") for c in commands]
-    out += [("ring", op, "-h") for op in ring_ops]
+    out += [(c, "-h") for c in COMMANDS]
+    out += [("ring", op, "-h") for op in RING_OPS]
     out += [
         (),
         ("-x",),

@@ -29,10 +29,8 @@ from delannoy.kring import (
     hilbert_value,
     induce,
     inner,
-    is_lyndon,
     lambda_binomial,
     line_class,
-    lyndon_weights,
     restrict,
     schur_apply,
     schur_dimension_poly,
@@ -604,42 +602,6 @@ class TestHilbert:
         assert hilbert_value(ONE, 4) == 1
         for n in range(7):
             assert hilbert_value(line_class(), n) == 2 * n + 1
-
-
-def mobius(n):
-    if n == 1:
-        return 1
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
-class TestLyndon:
-    def test_single_letters(self):
-        assert lyndon_weights(1) == ["b", "w"]
-
-    def test_length_two(self):
-        assert lyndon_weights(2) == ["bw"]
-
-    def test_counts_match_necklace_formula(self):
-        for n in range(1, 8):
-            divisors = [d for d in range(1, n + 1) if n % d == 0]
-            expected = sum(mobius(d) * 2 ** (n // d) for d in divisors) // n
-            assert len(lyndon_weights(n)) == expected
-
-    def test_is_lyndon(self):
-        assert is_lyndon("bbw")
-        assert not is_lyndon("wb")
-        assert not is_lyndon("")
-        assert not is_lyndon("bwbw")
 
 
 class TestSerialization:

@@ -73,6 +73,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_paths((-1, 0))
 
+    @pytest.mark.parametrize("dim, steps", [(2.0, [(1, 0)]), (True, [(1,)]), ("2", [(1, 0)]),
+                                            (-1, [])], ids=["float", "bool", "str", "negative"])
+    def test_dimension_must_be_a_non_negative_int(self, dim, steps):
+        # a float dimension would be written as "d": 2.0, which from_json refuses
+        with pytest.raises(ValueError, match="dimension must be a non-negative integer"):
+            Path(dim, steps)
+
 
 def reference_paths(target):
     """Independent enumeration by first step, with no cache shared between calls."""
