@@ -34,12 +34,21 @@ PATHS_LIMIT = 100_000
 # of the time.
 COMPOSITION_PAIRS_LIMIT = 20_000
 
-# The longest word `ring antipode` takes.  Its cost grows about sixfold with
-# every two letters: bwbwbwbwbwbwbw (14 letters) takes about 1.8 s and 93 MiB,
-# bwbw...bw with 16 letters about 11 s and 320 MiB, and one of 1 200 letters
-# runs into the recursion limit of `kring._antipode_word`.  A word of b's
-# alone is cheap.
+# The longest word `ring antipode` takes.  Its cost grows about sevenfold with
+# every two letters (CPU on a 2-vCPU VM, Python 3.11): bwbwbwbwbwbwbw (14
+# letters) takes about 0.7 s and 75 MiB, bwbw...bw with 16 letters about 5 s
+# and 230 MiB.  The antipode needs no stack that grows with the word.  A word
+# of b's alone is far cheaper, but not cheap: 100 b's take about 2 s, and 150
+# ran past 4 minutes.
 ANTIPODE_WORD_LIMIT = 14
+
+# The largest degree `ring adams` and `ring schur` take: max(letters, 1) times
+# the Adams index or |lambda|, the length of the longest words in the binomial
+# chain they build.  At 16, on the same machine, adams bwwb --n 4 takes about
+# 1.2 s and 90 MiB and schur --lambda 2,2 bwbw about 1 s and 90 MiB; adams
+# bwbw --n 8 (degree 32) ran past 40 s, and schur --lambda 2,2 bwbwb (20) took
+# 106 s and 1.77 GiB.
+RING_DEGREE_LIMIT = 16
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -177,6 +186,13 @@ def _emit_ktensor(args, t: KTensorClass) -> None:
     )
 
 
+def _check_ring_degree(word: str, factor: int, name: str, op: str) -> None:
+    degree = max(len(word), 1) * factor
+    if degree > RING_DEGREE_LIMIT:
+        raise ValueError(f"the degree max(letters, 1) * {name} is {degree}, more than the "
+                         f"{RING_DEGREE_LIMIT} that 'ring {op}' takes")
+
+
 def cmd_ring(args) -> int:
     op = args.ring_op
     if op == "mul":
@@ -196,9 +212,11 @@ def cmd_ring(args) -> int:
     elif op == "adams":
         if args.n < 1:
             raise ValueError("--n must be a positive Adams index")
+        _check_ring_degree(args.word, args.n, "n", "adams")
         _emit_kclass(args, kring.adams(KClass.word(args.word), args.n))
     elif op == "schur":
         parts = _parse_partition(args.partition)
+        _check_ring_degree(args.word, sum(parts), "|lambda|", "schur")
         poly = kring.schur_dimension_poly(parts)
         value = kring.schur_apply(parts, KClass.word(args.word))
         _emit(

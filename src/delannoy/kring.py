@@ -17,16 +17,18 @@ carries:
 
 Each product and operator is a rule on basis words, extended (bi)linearly by
 `linear`.  Coefficients follow its number rule: an `int` when integral, a
-`Fraction` otherwise, so a `Fraction` appears only after a real division (the
-/j step of the binomial chain) or where a caller supplies one.  In the product
-engine, `_tensor_basis` is a bottom-up dynamic programme over suffix pairs
-(Hoffman's quasi-shuffle recursion), and it and `_antipode_word` keep
-immutable (word, int) tuples in LRU caches of `_CACHE_SIZE` entries.  Outputs
-that must be integral raise `InvariantError` if they are not.
+`Fraction` otherwise, so a `Fraction` appears only after a real division (a
+/j step of the binomial chain that leaves a remainder) or where a caller
+supplies one.  `_tensor_basis`, a bottom-up dynamic programme over suffix
+pairs (Hoffman's quasi-shuffle recursion) that reads memoised pairs, keeps
+immutable (word, int) tuples in a dict keyed by the unordered pair, and
+`_antipode_word` in an LRU cache, each of at most `_CACHE_SIZE` entries.
+Outputs that must be integral raise `InvariantError` if they are not.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +40,11 @@ from .linear import (Combination, Frozen, _arity, bilinear_map, frac_str, json_f
                      json_int, linear_map, parse_frac)
 from .paths import check_weight
 
-_CACHE_SIZE = 4096  # entries per memo; a ring-products round uses about 600 pairs
+_CACHE_SIZE = 4096  # entries per memo; a ring-products round misses 386 word pairs
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+# (u, v) with u <= v -> `_tensor_basis(u, v)`; no lock, as a race costs a count or a recomputation
+_pairs: dict = {}
+_pair_counts = [0, 0]  # hits, misses of `_tensor_basis` in `_pairs`
 _MIXED = ("b", "w", "")  # the words of b + w + 1: what a b/w collision emits
 _SWAP = str.maketrans("bw", "wb")
 
@@ -143,36 +149,54 @@ def concat_mul(x: KClass, y: KClass) -> KClass:
     return bilinear_map(KClass, (), lambda u, v: ((u + v, 1),), x, y)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
     """Standard product of two basis words, as immutable (word, count) pairs.
 
-    Bottom-up over suffix pairs: the cell for (lam[i:], mu[j:]) sums its
-    three neighbours by cases on the first emitted letter: lam[i], mu[j], or
-    a collision of both (equal letters keep the letter; b with w gives b, w
-    or nothing).  Only two rows of cells are alive at once.  The recursion is
-    symmetric in its arguments, so the rows run along the shorter word.
+    Memoised in `_pairs` under the unordered pair: the product commutes.  A
+    miss runs bottom-up over suffix pairs.  The cell for (lam[i:], mu[j:]) is
+    read from the memo if it is there; otherwise it sums its three neighbours
+    by cases on the first emitted letter: lam[i], mu[j], or a collision of
+    both (equal letters keep the letter; b with w gives b, w or nothing), and
+    stays local as an item view.  Two rows are alive at once, along the
+    shorter word.
     """
+    key = (lam, mu) if lam <= mu else (mu, lam)
+    out = _pairs.get(key)
+    _pair_counts[out is None] += 1
+    if out is not None:
+        return out
     if len(mu) > len(lam):
         lam, mu = mu, lam
-    below = [{mu[j:]: 1} for j in range(len(mu) + 1)]
+    memo, tails = _pairs.get, [mu[j:] for j in range(len(mu) + 1)]
+    below = [((t, 1),) for t in tails]
     for i in range(len(lam) - 1, -1, -1):
-        a = lam[i]
-        row = [None] * len(mu) + [{lam[i:]: 1}]
+        a, head = lam[i], lam[i:]
+        row = [None] * len(mu) + [((head, 1),)]
         for j in range(len(mu) - 1, -1, -1):
-            b = mu[j]
-            cell = {a + w: c for w, c in below[j].items()}
-            get = cell.get
-            for w, c in row[j + 1].items():
-                k = b + w
-                cell[k] = get(k, 0) + c
-            for h in (a,) if a == b else _MIXED:
-                for w, c in below[j + 1].items():
-                    k = h + w
+            tail = tails[j]
+            cell = memo((head, tail) if head <= tail else (tail, head))
+            if cell is None:
+                b = mu[j]
+                cell = {a + w: c for w, c in below[j]}
+                get = cell.get
+                for w, c in row[j + 1]:
+                    k = b + w
                     cell[k] = get(k, 0) + c
+                for h in (a,) if a == b else _MIXED:
+                    for w, c in below[j + 1]:
+                        k = h + w
+                        cell[k] = get(k, 0) + c
+                cell = cell.items()
             row[j] = cell
         below = row
-    return tuple(below[0].items())
+    out = tuple(below[0])
+    if len(_pairs) >= _CACHE_SIZE:
+        _pairs.clear()
+    _pairs[key] = out
+    return out
+
+
+_tensor_basis.cache_info = lambda: _CacheInfo(*_pair_counts, _CACHE_SIZE, len(_pairs))
 
 
 def tensor_mul(x: KClass, y: KClass) -> KClass:
@@ -221,15 +245,20 @@ def counit(x: KClass) -> Fraction:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _antipode_word(w: str) -> tuple[tuple[str, int], ...]:
-    """S(w) = (-1)^|w| - sum over i of (w[:i] + w[:i-1]) * S(w[i:]), as (word, int) pairs."""
-    out = {"": -1 if len(w) % 2 else 1}
-    for i in range(1, len(w) + 1):
-        tail = _antipode_word(w[i:])
-        for head in (w[:i], w[: i - 1]):
-            for v, c in tail:
-                for t, d in _tensor_basis(head, v):
-                    out[t] = out.get(t, 0) - c * d
-    return tuple((t, c) for t, c in out.items() if c)
+    """S(w) as (word, int) pairs, from S(s) = (-1)^|s| - sum over i of
+    (s[:i] + s[:i-1]) * S(s[i:]), filled in for the suffixes s of w from the
+    shortest up, so that the stack does not grow with the word."""
+    tails = [(("", 1),)]  # tails[n]: S of the suffix of w with n letters
+    for k in range(len(w) - 1, -1, -1):
+        s = w[k:]
+        out = {"": -1 if len(s) % 2 else 1}
+        for i in range(1, len(s) + 1):
+            for head in (s[:i], s[: i - 1]):
+                for v, c in tails[len(s) - i]:
+                    for t, d in _tensor_basis(head, v):
+                        out[t] = out.get(t, 0) - c * d
+        tails.append(tuple((t, c) for t, c in out.items() if c))
+    return tails[-1]
 
 
 def antipode(x: KClass) -> KClass:
@@ -250,10 +279,15 @@ def inner(x: KClass | KTensorClass, y: KClass | KTensorClass) -> Fraction:
 
 
 def _binomial_chain(x: KClass, top: int) -> list[KClass]:
-    """binom(x, 0), ..., binom(x, top), computed incrementally over rationals."""
+    """binom(x, 0), ..., binom(x, top), incrementally: step j divides by j in
+    `int`, with a `Fraction` only where a remainder is left (never for integral x)."""
     chain = [KClass.unit()]
     for j in range(1, top + 1):
-        chain.append(tensor_mul(chain[-1], x - (j - 1)) * Fraction(1, j))
+        step = {}
+        for w, c in tensor_mul(chain[-1], x - (j - 1)).coeffs.items():
+            q, r = divmod(c, j)
+            step[w] = Fraction(c, j) if r else q
+        chain.append(KClass._trusted(step))
     return chain
 
 

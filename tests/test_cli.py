@@ -373,6 +373,31 @@ def test_antipode_of_a_long_word_is_a_usage_error(capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv, degree", [
+    (("ring", "adams", "--word", "bwbw", "--n", "8"), 32),  # ran past 40 s
+    (("ring", "adams", "--word", "", "--n", "17"), 17),
+    (("ring", "schur", "--lambda", "2,2", "--word", "bwbwb"), 20),  # 106 s and 1.77 GiB
+    (("ring", "schur", "--lambda", "17"), 17),
+])
+def test_ring_degree_past_the_limit_is_a_usage_error(capsys, argv, degree):
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    name = "n" if argv[1] == "adams" else "|lambda|"
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: the degree max(letters, 1) * {name} is {degree}, more than "
+                            f"the {cli.RING_DEGREE_LIMIT} that 'ring {argv[1]}' takes\n")
+
+
+def test_ring_degree_at_the_limit_runs(capsys):
+    assert cli.RING_DEGREE_LIMIT == 16
+    for argv in (("ring", "adams", "--word", "b", "--n", "16"),
+                 ("ring", "adams", "--word", "", "--n", "16"),
+                 ("ring", "schur", "--lambda", "8,8"),
+                 ("ring", "schur", "--lambda", "2", "--word", "b" * 8)):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)
+
+
 def _pinned_invocations() -> list[tuple[str, ...]]:
     """A fixed set of in-process invocations over every output-producing command."""
     formats = ("json", "csv", "pretty")

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -240,6 +241,98 @@ class TestEngine:
             for cached in (kring._tensor_basis("b", "w"), kring._antipode_word("bw")):
                 with contextlib.suppress(AttributeError, TypeError):
                     cached.coeffs["bw"] = F(99)
+        memoised = list(kring._pairs.values()) + [kring._antipode_word("bw")]
+        for cached in memoised:
+            assert type(cached) is tuple
+            assert all(type(term) is tuple and len(term) == 2 for term in cached)
+
+    def test_small_memo_gives_the_same_values(self, monkeypatch):
+        rng = random.Random(11)
+        pairs = [(random_class(rng, 4, 4), random_class(rng, 3, 4)) for _ in range(200)]
+        square = schwartz_class(3) * schwartz_class(3)
+        products = [x * y for x, y in pairs]
+        monkeypatch.setattr(kring, "_CACHE_SIZE", 3)
+        kring._pairs.clear()
+        assert schwartz_class(3) * schwartz_class(3) == square
+        assert [x * y for x, y in pairs] == products
+        assert len(kring._pairs) <= 3
+
+    def test_threads_share_a_small_memo(self, monkeypatch):
+        rng = random.Random(12)
+        pairs = [(random_class(rng, 4, 3), random_class(rng, 3, 3)) for _ in range(40)]
+        want = [x * y for x, y in pairs]
+        monkeypatch.setattr(kring, "_CACHE_SIZE", 3)  # every few misses empty the memo
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [x * y for x, y in pairs[k:] + pairs[:k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want[k:] + want[:k] for k in range(4)]
+
+    def test_memo_keys_the_unordered_pair(self):
+        u, v = "bwwbwbbwbwwbwbbw", "wbbwwb"  # a pair no other test multiplies
+        first = kring._tensor_basis(u, v)
+        before = kring._tensor_basis.cache_info()
+        assert kring._tensor_basis(u, v) is first
+        assert kring._tensor_basis(v, u) is first
+        after = kring._tensor_basis.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        assert after.maxsize == kring._CACHE_SIZE and 1 <= after.currsize <= after.maxsize
+
+    def test_product_is_the_same_run_either_way(self):
+        # the memo answers a swapped pair from one entry; emptied, each order runs its own programme
+        for u in weights_up_to(3):
+            for v in weights_up_to(3):
+                kring._pairs.clear()
+                uv = dict(kring._tensor_basis(u, v))
+                kring._pairs.clear()
+                assert dict(kring._tensor_basis(v, u)) == uv
+
+    def test_antipode_needs_no_stack_for_a_long_word(self):
+        code = (
+            "import hashlib, sys\n"
+            "from delannoy import KClass, antipode\n"
+            "sys.setrecursionlimit(50)\n"
+            "print(hashlib.sha256(antipode(KClass.word('b' * 60)).dumps().encode()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(delannoy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        # the value that the recursive definition gave (sha256 of its JSON text)
+        assert proc.stdout.strip() == (
+            "fab8896def27f6f9f8a13d8dc96180b1d7241504f5d88aa7459b5a9e7b7eccf7")
+
+    def test_binomial_chain_divides_in_int(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            x = random_class(rng, 2, 3)
+            for link in kring._binomial_chain(x, 4):
+                assert all(type(c) is int for c in link.coeffs.values())
+        for _ in range(20):
+            x = random_class(rng, 2, 3) * F(1, rng.choice((2, 3)))
+            chain = [ONE]
+            for j in range(1, 4):  # the chain as it was: multiplied by the Fraction 1/j
+                chain.append(tensor_mul(chain[-1], x - (j - 1)) * F(1, j))
+            for got, want in zip(kring._binomial_chain(x, 3), chain):
+                assert dict(got.coeffs) == dict(want.coeffs)
+                assert_same_as_checked(got)
+        half = KClass({"b": F(1, 2)})
+        with pytest.raises(delannoy.InvariantError):
+            lambda_binomial(half, 2)
+        with pytest.raises(delannoy.InvariantError):
+            schur_apply((2,), half)
 
     def test_integrality_guard_survives_optimize_flag(self):
         code = (
