@@ -273,7 +273,8 @@ class Morphism(Combination):
         return compose(self, other)
 
     def __repr__(self) -> str:
-        return f"Morphism({self.out_arity}<-{self.in_arity}, {len(self.coeffs)} terms)"
+        terms = " + ".join(f"{c}*{p!r}" for p, c in self.terms()) or "0"
+        return f"Morphism({self.out_arity}<-{self.in_arity}: {terms})"
 
     def to_json(self) -> dict:
         terms = [{"path": p.to_json(), "coeff": frac_str(c)} for p, c in self.terms()]

@@ -1,8 +1,10 @@
 """Verification suites: one per acceptance criterion, all exact equalities.
 
-Each suite returns a report listing named checks with pass/fail status; a
-suite passes when every check does.  Randomized checks draw from a seeded
-generator so runs are reproducible.
+Each suite fills a report with named checks.  A check runs over a stream of
+(label, got, want) cases and fails at the first case where got != want; its
+detail names that case.  A suite passes when every check does.  Randomized
+checks draw all their inputs from a seeded generator before they compare, so
+runs are reproducible and a failing check leaves later checks the same draws.
 """
 
 from __future__ import annotations
@@ -10,17 +12,19 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import category, euler, kring
 from .category import Morphism
 from .euler import HalfOpenInterval, SchwartzFn
 from .kring import KClass, KTensorClass
 from .linalg import determinant, matrix_rank
-from .paths import Path, all_weights, delannoy_number, enumerate_paths, weights_up_to
+from .paths import Path, all_weights, delannoy_number, enumerate_paths, project_path, weights_up_to
+
+DETAIL_LIMIT = 300  # characters kept of a failing check's detail line
 
 
 @dataclass
@@ -41,6 +45,18 @@ class VerificationReport:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), detail))
+
+    def expect(self, name: str, cases: Iterable[tuple[object, object, object]]) -> None:
+        """Add the check `name` over (label, got, want) cases: it stops at the
+        first case with got != want and names it in the detail."""
+        for label, got, want in cases:
+            if got != want:
+                detail = f"at {label}: got {got!r}, want {want!r}"
+                if len(detail) > DETAIL_LIMIT:
+                    detail = detail[: DETAIL_LIMIT - 3] + "..."
+                self.add(name, False, detail)
+                return
+        self.add(name, True)
 
 
 def _random_schwartz(rng: random.Random, arity: int, max_breakpoints: int = 3) -> SchwartzFn:
@@ -66,342 +82,305 @@ def _partitions_up_to(total: int) -> Iterator[tuple[int, ...]]:
         yield from rec(size, size)
 
 
+def _top(x: KClass, degree: int) -> dict[str, int]:
+    """The terms of x whose words have the given length."""
+    return {w: c for w, c in x.coeffs.items() if len(w) == degree}
+
+
 def suite_delannoy_counts(report: VerificationReport, rng: random.Random) -> None:
-    ok = all(
-        len(enumerate_paths((n, n))) == delannoy_number(n, n) for n in range(7)
+    report.expect(
+        "enumeration matches recurrence for n <= 6",
+        (((n, n), len(enumerate_paths((n, n))), delannoy_number(n, n)) for n in range(7)),
     )
-    report.add("enumeration matches recurrence for n <= 6", ok)
-    report.add("thirteen (2,2)-paths", len(enumerate_paths((2, 2))) == 13)
-    ok = all(
-        delannoy_number(n, n) == sum(comb(n, k) ** 2 * 2**k for k in range(n + 1))
-        for n in range(9)
+    report.expect("thirteen (2,2)-paths", [((2, 2), len(enumerate_paths((2, 2))), 13)])
+    report.expect(
+        "central numbers match the squared-binomial sum for n <= 8",
+        ((n, delannoy_number(n, n), sum(comb(n, k) ** 2 * 2**k for k in range(n + 1)))
+         for n in range(9)),
     )
-    report.add("central numbers match the squared-binomial sum for n <= 8", ok)
 
 
 def suite_oracle_equivalence(report: VerificationReport, rng: random.Random) -> None:
-    ok = True
-    pairs = 0
-    for n, m, l in itertools.product(range(3), repeat=3):
-        for p1 in enumerate_paths((n, m)):
-            for p2 in enumerate_paths((m, l)):
-                pairs += 1
-                if category.compose_oracle(p1, p2) != Morphism.basis(p1) @ Morphism.basis(p2):
-                    ok = False
-    report.add(f"exhaustive at sizes <= 2 ({pairs} pairs)", ok)
-    ok = True
+    def cases(pairs):
+        for p1, p2 in pairs:
+            yield (p1, p2), category.compose_oracle(p1, p2), Morphism.basis(p1) @ Morphism.basis(p2)
+
+    pairs = [
+        (p1, p2)
+        for n, m, l in itertools.product(range(3), repeat=3)
+        for p1 in enumerate_paths((n, m))
+        for p2 in enumerate_paths((m, l))
+    ]
+    report.expect(f"exhaustive at sizes <= 2 ({len(pairs)} pairs)", cases(pairs))
+    pairs = []
     for _ in range(1000):
         n, m, l = (rng.randint(0, 3) for _ in range(3))
-        p1 = rng.choice(enumerate_paths((n, m)))
-        p2 = rng.choice(enumerate_paths((m, l)))
-        if category.compose_oracle(p1, p2) != Morphism.basis(p1) @ Morphism.basis(p2):
-            ok = False
-    report.add("1000 random pairs at sizes <= 3", ok)
+        pairs.append((rng.choice(enumerate_paths((n, m))), rng.choice(enumerate_paths((m, l)))))
+    report.expect("1000 random pairs at sizes <= 3", cases(pairs))
 
 
 def suite_category_axioms(report: VerificationReport, rng: random.Random) -> None:
-    ok = True
-    for n, m, l, k in itertools.product(range(3), repeat=4):
-        for p1 in enumerate_paths((n, m)):
-            for p2 in enumerate_paths((m, l)):
-                left = Morphism.basis(p1) @ Morphism.basis(p2)
-                for p3 in enumerate_paths((l, k)):
-                    b3 = Morphism.basis(p3)
-                    if left @ b3 != Morphism.basis(p1) @ (Morphism.basis(p2) @ b3):
-                        ok = False
-    report.add("associativity, exhaustive at arities <= 2", ok)
-    ok = True
-    for n in range(4):
-        for m in range(4):
+    def associativity():
+        for n, m, l, k in itertools.product(range(3), repeat=4):
+            for p1 in enumerate_paths((n, m)):
+                for p2 in enumerate_paths((m, l)):
+                    left = Morphism.basis(p1) @ Morphism.basis(p2)
+                    for p3 in enumerate_paths((l, k)):
+                        b3 = Morphism.basis(p3)
+                        right = Morphism.basis(p1) @ (Morphism.basis(p2) @ b3)
+                        yield (p1, p2, p3), left @ b3, right
+
+    def identities():
+        for n, m in itertools.product(range(4), repeat=2):
             for p in enumerate_paths((n, m)):
                 b = Morphism.basis(p)
-                if category.identity(n) @ b != b or b @ category.identity(m) != b:
-                    ok = False
-    report.add("all-diagonal path is a two-sided identity at arities <= 3", ok)
+                yield (p, "on the left"), category.identity(n) @ b, b
+                yield (p, "on the right"), b @ category.identity(m), b
+
+    report.expect("associativity, exhaustive at arities <= 2", associativity())
+    report.expect("all-diagonal path is a two-sided identity at arities <= 3", identities())
     # Semisimple with simples of dimension +-1: the trace pairing
     # Hom(m -> n) x Hom(n -> m) -> Z is perfect in the path bases, so its Gram
-    # determinant is a unit.
-    ok = True
+    # determinant is a unit.  Entrywise, trace([p] o [q]) is the Euler integral
+    # over O_p meet O_q transposed: (-1)^len(p) if q is p transposed, else 0.
+    grams = []
     for n, m in [*itertools.product(range(4), repeat=2), (3, 4), (4, 3)]:
-        left = [Morphism.basis(p) for p in enumerate_paths((n, m))]
-        right = [Morphism.basis(q) for q in enumerate_paths((m, n))]
-        gram = [[category.trace(f @ g) for g in right] for f in left]
-        if determinant(gram) != (-1) ** (n + m):
-            ok = False
-    report.add("trace pairing has Gram determinant (-1)^(n+m) at n, m <= 3, (3, 4), (4, 3)", ok)
+        ps, qs = enumerate_paths((n, m)), enumerate_paths((m, n))
+        right = [Morphism.basis(q) for q in qs]
+        gram = [[category.trace(f @ g) for g in right] for f in map(Morphism.basis, ps)]
+        grams.append(((n, m), ps, qs, gram))
+
+    def entries():
+        for _, ps, qs, gram in grams:
+            for p, row in zip(ps, gram):
+                transposed = project_path(p, (1, 0))
+                for q, entry in zip(qs, row):
+                    yield (p, q), entry, (-1) ** len(p) if q == transposed else 0
+
+    report.expect(
+        "trace pairing has Gram determinant (-1)^(n+m) at n, m <= 3, (3, 4), (4, 3)",
+        (((n, m), determinant(gram), (-1) ** (n + m)) for (n, m), _, _, gram in grams),
+    )
+    report.expect("trace pairing is (-1)^len(p) at p transposed, else 0, same arities", entries())
 
 
 def suite_projectors(report: VerificationReport, rng: random.Random) -> None:
     for n in range(7):
         words = all_weights(n)
         projs = {w: category.projector(w) for w in words}
-        sign = (-1) ** n
-        idem = all(projs[w] @ projs[w] == projs[w] for w in words)
-        orth = all(
-            (projs[u] @ projs[v]).is_zero()
-            for u in words
-            for v in words
-            if u != v
+        pairs = [(u, v) for u in words for v in words if u != v]
+        report.expect(
+            f"idempotent at length {n}", ((w, projs[w] @ projs[w], projs[w]) for w in words)
         )
-        tr = all(category.trace(projs[w]) == sign for w in words)
-        report.add(f"idempotent at length {n}", idem)
-        report.add(f"pairwise orthogonal at length {n}", orth)
-        report.add(f"trace is (-1)^{n} at length {n}", tr)
+        report.expect(
+            f"pairwise orthogonal at length {n}",
+            (((u, v), (projs[u] @ projs[v]).is_zero(), True) for u, v in pairs),
+        )
+        report.expect(
+            f"trace is (-1)^{n} at length {n}",
+            ((w, category.trace(projs[w]), (-1) ** n) for w in words),
+        )
 
-    def quasi_diagonal(n: int):
-        turns = {
-            "d": ((1, 1),),
-            "out_first": ((1, 0), (0, 1)),
-            "in_first": ((0, 1), (1, 0)),
-        }
-        items = [((), ())]
-        for _ in range(n):
-            items = [
-                (steps + turns[t], choice + (t,))
-                for steps, choice in items
-                for t in ("d", "out_first", "in_first")
-            ]
-        return [(Path(2, s), c) for s, c in items]
+    # A quasi-diagonal path takes, in each diagonal square, the diagonal step
+    # or one of the two turns.  Its eigenvalue is the product over the letters:
+    # 1 for the diagonal step, -1 for the turn of the letter's own projector,
+    # 0 for the other turn.
+    turns = {"d": ((1, 1),), "out_first": ((1, 0), (0, 1)), "in_first": ((0, 1), (1, 0))}
+    signs = {("b", "d"): 1, ("w", "d"): 1, ("b", "in_first"): -1, ("w", "out_first"): -1}
 
-    ok = True
-    for n in range(5):
-        quasi = quasi_diagonal(n)
-        quasi_set = {p for p, _ in quasi}
-        for word in all_weights(n):
-            pi = category.projector(word)
-            for p, choices in quasi:
-                val = 1
-                for letter, turn in zip(word, choices):
-                    if turn == "d":
-                        continue
-                    if (letter == "b" and turn == "in_first") or (
-                        letter == "w" and turn == "out_first"
-                    ):
-                        val = -val
-                    else:
-                        val = 0
-                        break
-                if pi @ Morphism.basis(p) @ pi != val * pi:
-                    ok = False
-            for p in enumerate_paths((n, n)):
-                if p not in quasi_set and not (pi @ Morphism.basis(p) @ pi).is_zero():
-                    ok = False
-    report.add("eigenvalue scalars for quasi-diagonal paths at length <= 4", ok)
+    def eigenvalues():
+        for n in range(5):
+            quasi = {
+                Path(2, sum((turns[t] for t in choices), ())): choices
+                for choices in itertools.product(turns, repeat=n)
+            }
+            for word in all_weights(n):
+                pi = category.projector(word)
+                for p, choices in quasi.items():
+                    val = prod(signs.get((letter, t), 0) for letter, t in zip(word, choices))
+                    yield (word, p), pi @ Morphism.basis(p) @ pi, val * pi
+                for p in enumerate_paths((n, n)):
+                    if p not in quasi:
+                        yield (word, p), (pi @ Morphism.basis(p) @ pi).is_zero(), True
+
+    report.expect("eigenvalue scalars for quasi-diagonal paths at length <= 4", eigenvalues())
 
 
 def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None:
-    ok = True
-    for m in range(4):
-        for word in weights_up_to(m):
-            if category.multiplicity_rank(word, m) != comb(m, len(word)):
-                ok = False
-    report.add("rank equals binom(m, len) for m <= 3", ok)
-    ok = all(
-        category.multiplicity_rank(word, 4) == comb(4, len(word)) for word in weights_up_to(3)
-    )
-    report.add("rank equals binom(4, len) for words of length <= 3", ok)
-    ok = all(
-        category.multiplicity_rank(word, 5) == comb(5, len(word)) for word in weights_up_to(4)
-    )
-    report.add("rank equals binom(5, len) for words of length <= 4", ok)
-    ok = all(
-        sum(category.multiplicity_rank(w, n) for w in weights_up_to(n)) == 3**n
-        for n in range(4)
-    )
-    report.add("total length of the arity-n space is 3^n for n <= 3", ok)
-    ok = True
-    for n in range(4):
-        total = sum(
-            category.multiplicity_rank(w, n) ** 2 for w in weights_up_to(n)
+    def binomial_ranks(m: int, max_length: int):
+        for word in weights_up_to(max_length):
+            yield (word, m), category.multiplicity_rank(word, m), comb(m, len(word))
+
+    def hom_dimension(n: int, m: int) -> int:  # of Hom(m -> n), summed over the simples
+        return sum(
+            category.multiplicity_rank(w, n) * category.multiplicity_rank(w, m)
+            for w in weights_up_to(min(n, m))
         )
-        if total != delannoy_number(n, n):
-            ok = False
-    report.add("sum of squared ranks is the central Delannoy number for n <= 3", ok)
+
+    report.expect(
+        "rank equals binom(m, len) for m <= 3",
+        itertools.chain.from_iterable(binomial_ranks(m, m) for m in range(4)),
+    )
+    report.expect("rank equals binom(4, len) for words of length <= 3", binomial_ranks(4, 3))
+    report.expect("rank equals binom(5, len) for words of length <= 4", binomial_ranks(5, 4))
+    report.expect(
+        "total length of the arity-n space is 3^n for n <= 3",
+        ((n, sum(category.multiplicity_rank(w, n) for w in weights_up_to(n)), 3**n)
+         for n in range(4)),
+    )
+    report.expect(
+        "sum of squared ranks is the central Delannoy number for n <= 3",
+        ((n, hom_dimension(n, n), delannoy_number(n, n)) for n in range(4)),
+    )
+    report.expect(
+        "sum of rank products is the Delannoy number D(n, m) for n, m <= 3",
+        (((n, m), hom_dimension(n, m), delannoy_number(n, m))
+         for n, m in itertools.product(range(4), repeat=2)),
+    )
 
 
 def suite_euler_calculus(report: VerificationReport, rng: random.Random) -> None:
-    report.add("point mass integrates to 1", euler.integrate(euler.point_mass((0,))) == 1)
+    point = euler.point_mass((0,))
+    report.expect("point mass integrates to 1", [(point, euler.integrate(point), 1)])
     open_iv = SchwartzFn(1, (0, 1), {(2,): 1})
-    report.add("open interval integrates to -1", euler.integrate(open_iv) == -1)
-    half = euler.interval_indicator([HalfOpenInterval("b", 1, 0)])
-    report.add("half-open interval integrates to 0", euler.integrate(half) == 0)
-    ok = True
+    report.expect("open interval integrates to -1", [(open_iv, euler.integrate(open_iv), -1)])
+    half = HalfOpenInterval("b", 1, 0)
+    report.expect(
+        "half-open interval integrates to 0",
+        [(half, euler.integrate(euler.interval_indicator([half])), 0)],
+    )
+    ordered = []
     for _ in range(100):
         f = _random_schwartz(rng, rng.randint(1, 3))
         order = list(range(f.arity))
         rng.shuffle(order)
-        if euler.integrate_fully(f, order) != euler.integrate(f):
-            ok = False
-    report.add("iterated pushforward is order independent (100 random)", ok)
-    ok = True
-    for _ in range(50):
-        f = _random_schwartz(rng, 2)
-        g = _random_schwartz(rng, 2)
-        if euler.integrate(f + g) != euler.integrate(f) + euler.integrate(g):
-            ok = False
-    report.add("additivity of the integral", ok)
-    ok = True
-    for sig in euler.iter_signatures(2, 2):
-        cell = SchwartzFn(2, (0, 1), {sig: 1})
-        factors = 1
-        for s in sig:
-            factors *= 1 if s % 2 == 1 else -1
-        if euler.integrate(cell) != factors:
-            ok = False
-    report.add("product cells have multiplicative volume", ok)
+        ordered.append((f, order))
+    report.expect(
+        "iterated pushforward is order independent (100 random)",
+        (((f, order), euler.integrate_fully(f, order), euler.integrate(f)) for f, order in ordered),
+    )
+    pairs = [(_random_schwartz(rng, 2), _random_schwartz(rng, 2)) for _ in range(50)]
+    report.expect(
+        "additivity of the integral",
+        (((f, g), euler.integrate(f + g), euler.integrate(f) + euler.integrate(g))
+         for f, g in pairs),
+    )
+    report.expect(
+        "product cells have multiplicative volume",
+        ((sig, euler.integrate(SchwartzFn(2, (0, 1), {sig: 1})),
+          prod(1 if s % 2 else -1 for s in sig)) for sig in euler.iter_signatures(2, 2)),
+    )
 
 
 def suite_ring(report: VerificationReport, rng: random.Random) -> None:
     b, w = KClass.word("b"), KClass.word("w")
+    bw, wb = KClass.word("bw"), KClass.word("wb")
     one = KClass.unit()
-    report.add("b*b = 2bb + b", b * b == 2 * KClass.word("bb") + b)
-    report.add(
-        "b*w = bw + wb + b + w + 1",
-        b * w == KClass.word("bw") + KClass.word("wb") + b + w + one,
-    )
-    expected = (
-        2 * KClass.word("bbw")
-        + KClass.word("bwb")
-        + 2 * KClass.word("bw")
-        + KClass.word("bb")
-        + b
-    )
-    report.add("b*bw expansion", b * KClass.word("bw") == expected)
+    report.expect("b*b = 2bb + b", [((b, b), b * b, 2 * KClass.word("bb") + b)])
+    report.expect("b*w = bw + wb + b + w + 1", [((b, w), b * w, bw + wb + b + w + one)])
+    expected = 2 * KClass.word("bbw") + KClass.word("bwb") + 2 * bw + KClass.word("bb") + b
+    report.expect("b*bw expansion", [((b, bw), b * bw, expected)])
     words3 = weights_up_to(3)
-    comm = all(
-        KClass.word(u) * KClass.word(v) == KClass.word(v) * KClass.word(u)
-        for u in words3
-        for v in words3
+
+    def commutes_with_unit():
+        for u, v in itertools.product(words3, repeat=2):
+            yield (u, v), KClass.word(u) * KClass.word(v), KClass.word(v) * KClass.word(u)
+        for u in words3:
+            yield (one, u), one * KClass.word(u), KClass.word(u)
+
+    def tensor_identity():
+        for n in range(7):  # (6, m) in one order only; commutativity has its own check
+            for m in range(6):
+                lengths = Counter(len(p) for p in enumerate_paths((n, m)))
+                rhs = sum((c * kring.schwartz_class(k) for k, c in lengths.items()), KClass())
+                yield (n, m), kring.schwartz_class(n) * kring.schwartz_class(m), rhs
+
+    report.expect("commutative with unit at degree <= 3", commutes_with_unit())
+    triples = [[KClass.word(rng.choice(words3)) for _ in range(3)] for _ in range(200)]
+    report.expect(
+        "associativity on 200 random triples of degree <= 3",
+        (((x, y, z), (x * y) * z, x * (y * z)) for x, y, z in triples),
     )
-    unit_ok = all(one * KClass.word(u) == KClass.word(u) for u in words3)
-    report.add("commutative with unit at degree <= 3", comm and unit_ok)
-    ok = True
-    for _ in range(200):
-        x, y, z = (KClass.word(rng.choice(words3)) for _ in range(3))
-        if (x * y) * z != x * (y * z):
-            ok = False
-    report.add("associativity on 200 random triples of degree <= 3", ok)
-    ok = all(
-        b * KClass.word("b" * n)
-        == (n + 1) * KClass.word("b" * (n + 1)) + n * KClass.word("b" * n)
-        for n in range(7)
+    report.expect(
+        "one-letter times all-same-letter products for n <= 6",
+        ((n, b * KClass.word("b" * n),
+          (n + 1) * KClass.word("b" * (n + 1)) + n * KClass.word("b" * n)) for n in range(7)),
     )
-    report.add("one-letter times all-same-letter products for n <= 6", ok)
-    ok = True
-    for n in range(7):  # (6, m) in one order only; commutativity has its own check
-        for m in range(6):
-            lengths = Counter(len(p) for p in enumerate_paths((n, m)))
-            rhs = sum((c * kring.schwartz_class(k) for k, c in lengths.items()), KClass())
-            if kring.schwartz_class(n) * kring.schwartz_class(m) != rhs:
-                ok = False
-    report.add("object-level tensor identity for n <= 6, m <= 5", ok)
+    report.expect("object-level tensor identity for n <= 6, m <= 5", tensor_identity())
 
 
 def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
     one = KClass.unit()
     words4 = weights_up_to(4)
-    ok = True
-    for u in words4:
-        res = kring.restrict(KClass.word(u))
-        left = KClass()
-        right = KClass()
-        for (a, c), coeff in res.coeffs.items():
-            left = left + coeff * kring.counit(KClass.word(a)) * KClass.word(c)
-            right = right + coeff * kring.counit(KClass.word(c)) * KClass.word(a)
-        if left != KClass.word(u) or right != KClass.word(u):
-            ok = False
-    report.add("counit axioms at degree <= 4", ok)
-    ok = True
-    for u in words4:
-        res = kring.restrict(KClass.word(u))
-        left = KClass()
-        right = KClass()
-        for (a, c), coeff in res.coeffs.items():
-            left = left + coeff * (kring.antipode(KClass.word(a)) * KClass.word(c))
-            right = right + coeff * (KClass.word(a) * kring.antipode(KClass.word(c)))
-        target = kring.counit(KClass.word(u)) * one
-        if left != target or right != target:
-            ok = False
-    report.add("antipode axioms at degree <= 4", ok)
-    b, w = KClass.word("b"), KClass.word("w")
-    ok = (
-        kring.antipode(b) == -b - 2 * one
-        and kring.antipode(KClass.word("bb")) == KClass.word("bb") + 3 * b + 3 * one
-        and kring.antipode(KClass.word("bw"))
-        == KClass.word("wb") + 2 * b + 2 * w + 4 * one
+
+    def convolutions(left_term, right_term, target):
+        # per word u, the sums of coeff * term(a, c) over the terms coeff * (a, c) of restrict(u)
+        for u in words4:
+            left = right = KClass()
+            for (a, c), coeff in kring.restrict(KClass.word(u)).coeffs.items():
+                left = left + coeff * left_term(KClass.word(a), KClass.word(c))
+                right = right + coeff * right_term(KClass.word(a), KClass.word(c))
+            yield u, (left, right), (target(KClass.word(u)),) * 2
+
+    report.expect(
+        "counit axioms at degree <= 4",
+        convolutions(
+            lambda x, y: kring.counit(x) * y, lambda x, y: kring.counit(y) * x, lambda x: x
+        ),
     )
-    report.add("antipode on b, bb, bw", ok)
+    report.expect(
+        "antipode axioms at degree <= 4",
+        convolutions(lambda x, y: kring.antipode(x) * y, lambda x, y: x * kring.antipode(y),
+                     lambda x: kring.counit(x) * one),
+    )
+    b, w = KClass.word("b"), KClass.word("w")
+    antipodes = {
+        "b": -b - 2 * one,
+        "bb": KClass.word("bb") + 3 * b + 3 * one,
+        "bw": KClass.word("wb") + 2 * b + 2 * w + 4 * one,
+    }
+    report.expect(
+        "antipode on b, bb, bw",
+        ((u, kring.antipode(KClass.word(u)), s) for u, s in antipodes.items()),
+    )
 
     def delta(x: KClass) -> KTensorClass:
-        return (
-            kring.restrict(x)
-            - KTensorClass.pure(x, one)
-            - KTensorClass.pure(one, x)
-        )
+        return kring.restrict(x) - KTensorClass.pure(x, one) - KTensorClass.pure(one, x)
 
-    prim_ok = delta(b + one) == KTensorClass() and delta(w + one) == KTensorClass()
     basis_words = weights_up_to(2)
-    index: dict[tuple[str, str], int] = {}
-    images = []
-    for u in basis_words:
-        img = delta(KClass.word(u))
-        images.append(img)
-        for key in img.coeffs:
-            index.setdefault(key, len(index))
-    rows = []
-    for img in images:
-        row = [0] * len(index)
-        for key, c in img.coeffs.items():
-            row[index[key]] = c
-        rows.append(row)
-
-    kernel_dim = len(basis_words) - matrix_rank([list(col) for col in zip(*rows)])
-    report.add(
+    images = [delta(KClass.word(u)) for u in basis_words]
+    keys = dict.fromkeys(key for img in images for key in img.coeffs)
+    matrix = [[img.coeffs.get(k, 0) for img in images] for k in keys]
+    kernel_dim = len(basis_words) - matrix_rank(matrix)
+    report.expect(
         "primitives are exactly the span of b+1 and w+1",
-        prim_ok and kernel_dim == 2,
+        [
+            (b + one, delta(b + one), KTensorClass()),
+            (w + one, delta(w + one), KTensorClass()),
+            ("the kernel of delta at degree <= 2", kernel_dim, 2),
+        ],
     )
-    ok = True
-    for u in weights_up_to(3):
-        for v in weights_up_to(3):
-            prod = KClass.word(u) * KClass.word(v)
-            top = {x: c for x, c in prod.coeffs.items() if len(x) == len(u) + len(v)}
-            expected: dict[str, int] = {}
-            for s in kring.shuffle_words(u, v):
-                expected[s] = expected.get(s, 0) + 1
-            if top != expected:
-                ok = False
-    report.add("associated graded product is the shuffle product at degree <= 3", ok)
-    ok = True
-    for u in words4:
-        s = kring.antipode(KClass.word(u))
-        top = {x: c for x, c in s.coeffs.items() if len(x) == len(u)}
-        if top != {u[::-1]: (-1) ** len(u)}:
-            ok = False
-    report.add("antipode leading term is the signed reversal at degree <= 4", ok)
+
+    def graded_products():
+        for u, v in itertools.product(weights_up_to(3), repeat=2):
+            top = _top(KClass.word(u) * KClass.word(v), len(u) + len(v))
+            yield (u, v), top, dict(Counter(kring.shuffle_words(u, v)))
+
+    report.expect(
+        "associated graded product is the shuffle product at degree <= 3", graded_products()
+    )
+    report.expect(
+        "antipode leading term is the signed reversal at degree <= 4",
+        ((u, _top(kring.antipode(KClass.word(u)), len(u)), {u[::-1]: (-1) ** len(u)})
+         for u in words4),
+    )
 
 
 def suite_branching(report: VerificationReport, rng: random.Random) -> None:
     words2 = weights_up_to(2)
-    ok = True
-    for u in words2:
-        for v in words2:
-            t = KTensorClass.pure(KClass.word(u), KClass.word(v))
-            for z in words2:
-                if kring.inner(kring.induce(t), KClass.word(z)) != kring.inner(
-                    t, kring.restrict(KClass.word(z))
-                ):
-                    ok = False
-    report.add("Frobenius reciprocity on words of length <= 2", ok)
-    ok = True
-    for u in words2:
-        for v in words2:
-            for z in words2:
-                t = KTensorClass.pure(KClass.word(v), KClass.word(z))
-                lhs = kring.induce(kring.restrict(KClass.word(u)) * t)
-                rhs = KClass.word(u) * kring.induce(t)
-                if lhs != rhs:
-                    ok = False
-    report.add("projection formula on words of length <= 2", ok)
+
+    def pure(u: str, v: str) -> KTensorClass:
+        return KTensorClass.pure(KClass.word(u), KClass.word(v))
 
     def ind_12(x: KClass, t: KTensorClass) -> KTensorClass:
         out = KTensorClass()
@@ -419,134 +398,137 @@ def suite_branching(report: VerificationReport, rng: random.Random) -> None:
             )
         return out
 
-    ok = True
-    for u in words2:
-        for v in words2:
+    def frobenius():
+        for u, v, z in itertools.product(words2, repeat=3):
+            t, y = pure(u, v), KClass.word(z)
+            yield (u, v, z), kring.inner(kring.induce(t), y), kring.inner(t, kring.restrict(y))
+
+    def projection_formula():
+        for u, v, z in itertools.product(words2, repeat=3):
+            x, t = KClass.word(u), pure(v, z)
+            yield (u, v, z), kring.induce(kring.restrict(x) * t), x * kring.induce(t)
+
+    def mackey():
+        for u, v in itertools.product(words2, repeat=2):
             x, y = KClass.word(u), KClass.word(v)
-            lhs = kring.restrict(kring.induce(KTensorClass.pure(x, y)))
             rhs = (
                 KTensorClass.pure(x, y)
                 + ind_12(x, kring.restrict(y))
                 + ind_23(kring.restrict(x), y)
             )
-            if lhs != rhs:
-                ok = False
-    report.add("Mackey identity on words of length <= 2", ok)
-    ok = True
-    for u in words2:
-        for v in words2:
-            if kring.restrict(KClass.word(u) * KClass.word(v)) != kring.restrict(
-                KClass.word(u)
-            ) * kring.restrict(KClass.word(v)):
-                ok = False
-    report.add("restriction is a ring homomorphism at degree <= 2", ok)
-    ok = True
-    for u in words2:
-        for v in words2:
-            induced = kring.induce(
-                KTensorClass.pure(KClass.word(u), KClass.word(v))
-            )
+            yield (u, v), kring.restrict(kring.induce(KTensorClass.pure(x, y))), rhs
+
+    def homomorphism():
+        for u, v in itertools.product(words2, repeat=2):
+            x, y = KClass.word(u), KClass.word(v)
+            yield (u, v), kring.restrict(x * y), kring.restrict(x) * kring.restrict(y)
+
+    def hilbert_products():
+        for u, v in itertools.product(words2, repeat=2):
+            induced = kring.induce(pure(u, v))
+            hu = [kring.hilbert_value(KClass.word(u), r) for r in range(7)]
+            hv = [kring.hilbert_value(KClass.word(v), r) for r in range(7)]
             for n in range(7):
-                direct = kring.hilbert_value(induced, n)
-                convolved = sum(
-                    kring.hilbert_value(KClass.word(u), r)
-                    * kring.hilbert_value(KClass.word(v), n - r)
-                    for r in range(n + 1)
-                ) + sum(
-                    kring.hilbert_value(KClass.word(u), r)
-                    * kring.hilbert_value(KClass.word(v), n - 1 - r)
-                    for r in range(n)
+                convolved = sum(hu[r] * hv[n - r] for r in range(n + 1)) + sum(
+                    hu[r] * hv[n - 1 - r] for r in range(n)
                 )
-                if direct != convolved:
-                    ok = False
-    report.add("induction multiplies Hilbert functions (with the 1+t factor), N <= 6", ok)
+                yield (u, v, n), kring.hilbert_value(induced, n), convolved
+
+    report.expect("Frobenius reciprocity on words of length <= 2", frobenius())
+    report.expect("projection formula on words of length <= 2", projection_formula())
+    report.expect("Mackey identity on words of length <= 2", mackey())
+    report.expect("restriction is a ring homomorphism at degree <= 2", homomorphism())
+    report.expect(
+        "induction multiplies Hilbert functions (with the 1+t factor), N <= 6", hilbert_products()
+    )
 
 
 def suite_lambda_adams(report: VerificationReport, rng: random.Random) -> None:
     b = KClass.word("b")
-    ok = all(kring.lambda_binomial(b, n) == KClass.word("b" * n) for n in range(6))
-    report.add("n-th exterior power of a letter is the n-letter word, n <= 5", ok)
-    ok = True
+    report.expect(
+        "n-th exterior power of a letter is the n-letter word, n <= 5",
+        ((n, kring.lambda_binomial(b, n), KClass.word("b" * n)) for n in range(6)),
+    )
     pool = weights_up_to(2)
-    for _ in range(20):
-        coeffs = {
-            w: rng.randint(-3, 3)
-            for w in rng.sample(pool, rng.randint(1, 3))
-        }
-        x = KClass(coeffs)
-        for n in range(5):
-            if not kring.lambda_binomial(x, n).is_integral():
-                ok = False
-    report.add("binom(x, n) integral for 20 random classes of degree <= 2, n <= 4", ok)
-    ok = True
-    for word in weights_up_to(3):
-        x = KClass.word(word)
-        for i in range(1, 5):
-            if kring.adams(x, i) != x:
-                ok = False
-    report.add("Adams operations fix every word of length <= 3 for i <= 4", ok)
+    classes = [
+        KClass({w: rng.randint(-3, 3) for w in rng.sample(pool, rng.randint(1, 3))})
+        for _ in range(20)
+    ]
+    report.expect(
+        "binom(x, n) integral for 20 random classes of degree <= 2, n <= 4",
+        (((x, n), kring.lambda_binomial(x, n).is_integral(), True)
+         for x in classes for n in range(5)),
+    )
+    report.expect(
+        "Adams operations fix every word of length <= 3 for i <= 4",
+        (((u, i), kring.adams(KClass.word(u), i), KClass.word(u))
+         for u in weights_up_to(3) for i in range(1, 5)),
+    )
 
 
 def suite_schur(report: VerificationReport, rng: random.Random) -> None:
-    ok = True
-    for parts in _partitions_up_to(5):
-        poly = kring.schur_dimension_poly(parts)
-        if any(poly.evaluate(t).denominator != 1 for t in range(11)):
-            ok = False
-        if any(c < 0 for c in poly.coeffs):
-            ok = False
-    report.add("hook content polynomials integer-valued with non-negative binomial coefficients, |partition| <= 5", ok)
-    b = KClass.word("b")
-    ok = (
-        kring.schur_apply((1, 1), b) == KClass.word("bb")
-        and kring.schur_apply((2,), b) == KClass.word("bb") + b
+    def hook_content_polys():
+        for parts in _partitions_up_to(5):
+            poly = kring.schur_dimension_poly(parts)
+            for t in range(11):
+                yield (parts, f"denominator at {t}"), poly.evaluate(t).denominator, 1
+            yield (parts, "negative coefficients"), [c for c in poly.coeffs if c < 0], []
+
+    report.expect(
+        "hook content polynomials integer-valued with non-negative binomial coefficients, "
+        "|partition| <= 5",
+        hook_content_polys(),
     )
-    report.add("column pair and row pair on a single letter", ok)
-    ok = True
-    for parts in _partitions_up_to(4):
-        poly = kring.schur_dimension_poly(parts)
-        if kring.counit(kring.schur_apply(parts, b)) != poly.evaluate(-1):
-            ok = False
-    report.add("counit of a Schur value matches the polynomial at -1, |partition| <= 4", ok)
+    b = KClass.word("b")
+    report.expect(
+        "column pair and row pair on a single letter",
+        [
+            ((1, 1), kring.schur_apply((1, 1), b), KClass.word("bb")),
+            ((2,), kring.schur_apply((2,), b), KClass.word("bb") + b),
+        ],
+    )
+    report.expect(
+        "counit of a Schur value matches the polynomial at -1, |partition| <= 4",
+        ((parts, kring.counit(kring.schur_apply(parts, b)),
+          kring.schur_dimension_poly(parts).evaluate(-1)) for parts in _partitions_up_to(4)),
+    )
 
 
 def suite_cross_module(report: VerificationReport, rng: random.Random) -> None:
-    ok = True
-    for n in range(5):
-        for m in range(5):
-            if euler.cell_count(n, m) != kring.hilbert_value(
-                kring.schwartz_class(n), m
-            ):
-                ok = False
-    report.add("cell counts match Hilbert values of the arity classes, n, m <= 4", ok)
-    ok = True
-    for word in weights_up_to(3):
-        a = tuple(range(1, len(word) + 1))
-        if category.invariant_extension(euler.key_indicator(word, a)) != category.projector(word):
-            ok = False
-    report.add("key indicators extend to the projectors, length <= 3", ok)
-    ok = True
-    table = str.maketrans("bw", "wb")
+    def key_extensions():
+        for word in weights_up_to(3):
+            key = euler.key_indicator(word, tuple(range(1, len(word) + 1)))
+            yield word, category.invariant_extension(key), category.projector(word)
+
+    report.expect(
+        "cell counts match Hilbert values of the arity classes, n, m <= 4",
+        (((n, m), euler.cell_count(n, m), kring.hilbert_value(kring.schwartz_class(n), m))
+         for n, m in itertools.product(range(5), repeat=2)),
+    )
+    report.expect("key indicators extend to the projectors, length <= 3", key_extensions())
+    draws = []
     for _ in range(50):
         n = rng.randint(1, 3)
         word = "".join(rng.choice("bw") for _ in range(n))
         cuts = sorted(rng.sample(range(-20, 21), 2 * n))
-        intervals = []
-        for i in range(n):
-            lo, hi = cuts[2 * i], cuts[2 * i + 1]
-            if word[i] == "b":
-                intervals.append(HalfOpenInterval("b", hi, lo))
-            else:
-                intervals.append(HalfOpenInterval("w", lo, hi))
-        phi = euler.interval_indicator(intervals)
-        a = tuple(
-            Fraction(v, 2) for v in sorted(rng.sample(range(-40, 41), n))
-        )
-        psi = euler.key_indicator(word.translate(table), a)
-        evaluated = 1 if all(iv.contains(x) for iv, x in zip(intervals, a)) else 0
-        if euler.pair(phi, psi) != evaluated:
-            ok = False
-    report.add("pairing against the dual key indicator evaluates at the basepoint, 50 random", ok)
+        a = tuple(Fraction(v, 2) for v in sorted(rng.sample(range(-40, 41), n)))
+        draws.append((word, cuts, a))
+
+    def pairings():
+        table = str.maketrans("bw", "wb")
+        for word, cuts, a in draws:
+            intervals = [
+                HalfOpenInterval("b", hi, lo) if letter == "b" else HalfOpenInterval("w", lo, hi)
+                for letter, lo, hi in zip(word, cuts[::2], cuts[1::2])
+            ]
+            phi = euler.interval_indicator(intervals)
+            psi = euler.key_indicator(word.translate(table), a)
+            evaluated = 1 if all(iv.contains(x) for iv, x in zip(intervals, a)) else 0
+            yield (word, cuts, a), euler.pair(phi, psi), evaluated
+
+    report.expect(
+        "pairing against the dual key indicator evaluates at the basepoint, 50 random", pairings()
+    )
 
 
 SUITES: list[tuple[str, Callable[[VerificationReport, random.Random], None]]] = [

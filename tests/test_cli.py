@@ -151,6 +151,21 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL 01-delannoy-counts :: always fails" in out
 
 
+def test_failing_check_names_its_input(capsys, monkeypatch):
+    from delannoy import category
+
+    rank = category.multiplicity_rank
+    monkeypatch.setattr(
+        category, "multiplicity_rank", lambda w, m: 7 if (w, m) == ("bw", 4) else rank(w, m)
+    )
+    code = main(["verify", "05"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    fail = lines.index("FAIL 05-multiplicities :: rank equals binom(4, len) for words of length <= 3")
+    assert lines[fail + 1] == "     at ('bw', 4): got 7, want 6"
+    assert [line for line in lines if line.startswith("FAIL")] == [lines[fail]]
+
+
 def test_export_to_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out = run_cli(
