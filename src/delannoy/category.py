@@ -476,7 +476,7 @@ def projector(word: str) -> Morphism:
     return Morphism._trusted(n, n, {_trusted_path(2, steps): 1 for steps in paths})
 
 
-def trace(f: Morphism) -> Fraction:
+def trace(f: Morphism) -> int | Fraction:
     """Categorical trace: integrate the kernel on the diagonal.
 
     The diagonal meets O_p only for the all-diagonal path, and the diagonal
@@ -487,7 +487,7 @@ def trace(f: Morphism) -> Fraction:
     n = f.out_arity
     diag = _trusted_path(2, ((1, 1),) * n)
     sign = -1 if n % 2 else 1
-    return Fraction(sign * f.coeffs.get(diag, 0))
+    return sign * f.coeffs.get(diag, 0)
 
 
 def invariant_extension(x: SchwartzFn) -> Morphism:
@@ -555,4 +555,4 @@ def multiplicity_rank(word: str, m: int) -> int:
     rank = sum(row.get(i, 0) for i, row in enumerate(rows))
     if rank.denominator != 1:
         raise InvariantError(f"idempotent for {word!r} at arity {m} has trace {rank}")
-    return int(rank)
+    return rank

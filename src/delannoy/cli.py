@@ -288,7 +288,8 @@ def cmd_verify(args) -> int:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
     failed = []
-    for rep in reports:
+    total = 0
+    for rep in reports:  # each suite is printed as soon as it has run
         for check in rep.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status} {rep.suite} :: {check.name}")
@@ -296,12 +297,14 @@ def cmd_verify(args) -> int:
                 failed.append(f"{rep.suite} :: {check.name}")
                 if check.detail:
                     print(f"     {check.detail}")
+        total += len(rep.checks)
+        sys.stdout.flush()
     if failed:
         print(f"{len(failed)} check(s) failed:")
         for name in failed:
             print(f"  {name}")
         return 1
-    print(f"all {sum(len(r.checks) for r in reports)} checks passed")
+    print(f"all {total} checks passed")
     return 0
 
 

@@ -15,9 +15,10 @@ j coordinates in gap slots is a product of points and open simplices and has
 Euler volume (-1)^j: points count 1, open intervals count -1.
 
 Everything is exact.  Coefficients and breakpoints follow the number rule of
-`linear`: an `int` when integral, a `Fraction` otherwise.  Functions are
-stored sparsely as cell -> coefficient maps; two functions are equal, add and
-multiply after refining to a common breakpoint set.
+`linear`, and so do integrals and pairings: an `int` when integral, a
+`Fraction` otherwise.  Functions are stored sparsely as cell -> coefficient
+maps; two functions are equal, add and multiply after refining to a common
+breakpoint set.
 
 The pairing does not refine: pair(f, g) = sum of f_a * g_b * prod_i
 sign(a_i, b_i) over cells a of f and b of g, where the sign of two slots is
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .linear import (Combination, Frozen, _arity, frac_str, json_field, json_int, linear_map,
@@ -77,32 +77,13 @@ def _iter_over_slots(slots: tuple[int, ...], count: int) -> Iterator[Signature]:
     yield from rec(0, count)
 
 
-@lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
-def cell_count(arity: int, num_breakpoints: int) -> int:
-    """Number of cell signatures, counted by a slot-by-slot recursion."""
-    arity, num_breakpoints = _arity(arity), _arity(num_breakpoints)
-
-    @lru_cache(maxsize=None)
-    def count(slot: int, k: int) -> int:
-        if k == 0:
-            return 1
-        if slot > 2 * num_breakpoints:
-            return 0
-        if slot % 2 == 1:
-            # point slot: used once or skipped
-            return count(slot + 1, k - 1) + count(slot + 1, k)
-        # gap slot: any number of coordinates may sit here
-        return sum(count(slot + 1, k - j) for j in range(k + 1))
-
-    return count(0, arity)
-
-
 def cell_volume(sig: Signature) -> int:
     """Euler volume of a cell: (-1) for every coordinate in a gap slot."""
     return -1 if sum(1 for s in sig if s % 2 == 0) % 2 else 1
 
 
-def cell_representative(breakpoints: Sequence[Fraction], sig: Signature) -> tuple[Fraction, ...]:
+def cell_representative(breakpoints: Sequence[Fraction],
+                        sig: Signature) -> tuple[int | Fraction, ...]:
     """A deterministic exact point of the cell, the tests' reference point.
 
     Coordinates on point slots sit on the breakpoint itself; k coordinates
@@ -137,7 +118,7 @@ def cell_representative(breakpoints: Sequence[Fraction], sig: Signature) -> tupl
             pts = [left + width * Fraction(t + 1, k + 1) for t in range(k)]
         out.extend(pts)
         i = j
-    return tuple(out)
+    return tuple(map(number, out))
 
 
 class SchwartzFn(Combination):
@@ -197,14 +178,14 @@ class SchwartzFn(Combination):
 
     # -- basic structure -----------------------------------------------------
 
-    def value_at_cell(self, sig: Signature) -> Fraction:
-        return Fraction(self.coeffs.get(tuple(sig), 0))
+    def value_at_cell(self, sig: Signature) -> int | Fraction:
+        return self.coeffs.get(tuple(sig), 0)
 
-    def scalar_value(self) -> Fraction:
+    def scalar_value(self) -> int | Fraction:
         """The single value of an arity-0 function."""
         if self.arity != 0:
             raise ValueError("scalar_value requires arity 0")
-        return Fraction(self.coeffs.get((), 0))
+        return self.coeffs.get((), 0)
 
     def __mul__(self, other):
         if isinstance(other, SchwartzFn):
@@ -212,10 +193,8 @@ class SchwartzFn(Combination):
         return super().__mul__(other)
 
     def __repr__(self) -> str:
-        return (
-            f"SchwartzFn(arity={self.arity}, breakpoints={[str(b) for b in self.breakpoints]}, "
-            f"{len(self.coeffs)} cells)"
-        )
+        cells = " + ".join(f"{c}*{sig}" for sig, c in self.terms()) or "0"
+        return f"SchwartzFn({self.arity} on [{', '.join(map(str, self.breakpoints))}]: {cells})"
 
     # -- serialization -------------------------------------------------------
 
@@ -250,9 +229,9 @@ def indicator_of_cell(
     return SchwartzFn(arity, breakpoints, {tuple(sig): 1})
 
 
-def integrate(f: SchwartzFn) -> Fraction:
+def integrate(f: SchwartzFn) -> int | Fraction:
     """Total Euler integral: sum of coefficient times cell volume."""
-    return Fraction(sum(c * cell_volume(sig) for sig, c in f.coeffs.items()))
+    return number(sum(c * cell_volume(sig) for sig, c in f.coeffs.items()))
 
 
 def _merge_points(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
@@ -332,7 +311,7 @@ def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
     return a._new(coeffs)
 
 
-def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
+def pair(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
     """The bilinear pairing: the Euler integral of the pointwise product.
 
     Coordinate i of the meet of a cell a of f and a cell b of g ranges over
@@ -350,7 +329,7 @@ def pair(f: SchwartzFn, g: SchwartzFn) -> Fraction:
     spans_f, spans_g = _slot_spans(points_f, top), _slot_spans(points_g, top)
     left = (([spans_f[s] for s in a], c) for a, c in f.coeffs.items())
     right = [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()]
-    return Fraction(_pair_spans(left, right))
+    return number(_pair_spans(left, right))
 
 
 def _pair_spans(left: Iterable[tuple[list, int | Fraction]],
@@ -388,7 +367,7 @@ def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:
                       lambda sig: ((sig[:i] + sig[i + 1 :], 1 if sig[i] % 2 else -1),), f)
 
 
-def integrate_fully(f: SchwartzFn, order: Sequence[int] | None = None) -> Fraction:
+def integrate_fully(f: SchwartzFn, order: Sequence[int] | None = None) -> int | Fraction:
     """Integrate by iterated one-coordinate pushforwards, in any order."""
     g = f
     remaining = list(range(f.arity))

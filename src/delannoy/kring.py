@@ -16,13 +16,14 @@ carries:
     given by the hook content formula.
 
 Each product and operator is a rule on basis words, extended (bi)linearly by
-`linear`.  Coefficients follow its number rule: an `int` when integral, a
-`Fraction` otherwise, so a `Fraction` appears only after a real division (a
-/j step of the binomial chain that leaves a remainder) or where a caller
-supplies one.  `_tensor_basis`, a bottom-up dynamic programme over suffix
-pairs (Hoffman's quasi-shuffle recursion) that reads memoised pairs, keeps
-immutable (word, int) tuples in a dict keyed by the unordered pair, and
-`_antipode_word` in an LRU cache, each of at most `_CACHE_SIZE` entries.
+`linear`.  Coefficients and scalars (counit, pairing, Hilbert values) follow
+its number rule: an `int` when integral, a `Fraction` otherwise, so a
+`Fraction` appears only after a real division (a /j step of the binomial
+chain that leaves a remainder) or where a caller supplies one.
+`_tensor_basis`, a bottom-up dynamic programme over suffix pairs (Hoffman's
+quasi-shuffle recursion) that reads memoised pairs, keeps immutable (word,
+int) tuples in a dict keyed by the unordered pair, and `_antipode_word` in an
+LRU cache, each of at most `_CACHE_SIZE` entries.
 Outputs that must be integral raise `InvariantError` if they are not.
 """
 
@@ -37,7 +38,7 @@ from numbers import Rational
 
 from .errors import InvariantError
 from .linear import (Combination, Frozen, _arity, bilinear_map, frac_str, json_field,
-                     json_int, linear_map, parse_frac)
+                     json_int, linear_map, number, parse_frac)
 from .paths import check_weight
 
 _CACHE_SIZE = 4096  # entries per memo; a ring-products round misses 386 word pairs
@@ -238,9 +239,9 @@ def _restrict_word(w: str) -> list[tuple[tuple[str, str], int]]:
     return [((w[:i], w[i:]), 1) for i in cuts] + [((w[: i - 1], w[i:]), 1) for i in cuts[1:]]
 
 
-def counit(x: KClass) -> Fraction:
+def counit(x: KClass) -> int | Fraction:
     """The ring homomorphism sending every word to (-1)^length."""
-    return Fraction(sum(c * (-1 if len(w) % 2 else 1) for w, c in x.coeffs.items()))
+    return number(sum(c * (-1 if len(w) % 2 else 1) for w, c in x.coeffs.items()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -271,11 +272,11 @@ def dual(x: KClass) -> KClass:
     return linear_map(KClass, (), lambda w: ((w.translate(_SWAP), 1),), x)
 
 
-def inner(x: KClass | KTensorClass, y: KClass | KTensorClass) -> Fraction:
+def inner(x: KClass | KTensorClass, y: KClass | KTensorClass) -> int | Fraction:
     """The pairing making the words (or the pairs of words) an orthonormal basis."""
     small, large = (x, y) if len(x.coeffs) <= len(y.coeffs) else (y, x)
     other = large.coeffs
-    return Fraction(sum(c * other[w] for w, c in small.coeffs.items() if w in other))
+    return number(sum(c * other[w] for w, c in small.coeffs.items() if w in other))
 
 
 def _binomial_chain(x: KClass, top: int) -> list[KClass]:
@@ -329,9 +330,9 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def binom_at(t: int | Fraction, i: int) -> Fraction:
+def binom_at(t: int | Fraction, i: int) -> int | Fraction:
     """binom(t, i) for an arbitrary rational t."""
-    return Fraction(prod(t - j for j in range(i)), factorial(i))
+    return number(Fraction(prod(t - j for j in range(i)), factorial(i)))
 
 
 class IntValuedPoly(Frozen):
@@ -342,14 +343,14 @@ class IntValuedPoly(Frozen):
     def __init__(self, coeffs: Sequence[int]) -> None:
         object.__setattr__(self, "coeffs", tuple(map(json_int, coeffs)))  # fixed and hashable
 
-    def evaluate(self, t) -> Fraction:
-        return Fraction(sum(c * binom_at(t, i) for i, c in enumerate(self.coeffs)))
+    def evaluate(self, t) -> int | Fraction:
+        return number(sum(c * binom_at(t, i) for i, c in enumerate(self.coeffs)))
 
     def degree(self) -> int:
         return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
 
 
-def _hook_content_value(parts: tuple[int, ...], t: int) -> Fraction:
+def _hook_content_value(parts: tuple[int, ...], t: int) -> int | Fraction:
     """Product over the diagram of (t + col - row) / hook length (1-based)."""
     conj = [sum(1 for p in parts if p >= c) for c in range(1, (parts[0] if parts else 0) + 1)]
     num = den = 1
@@ -357,7 +358,7 @@ def _hook_content_value(parts: tuple[int, ...], t: int) -> Fraction:
         for c in range(1, width + 1):
             num *= t + c - r
             den *= (width - c) + (conj[c - 1] - r) + 1  # the hook length
-    return Fraction(num, den)
+    return number(Fraction(num, den))
 
 
 def schur_dimension_poly(parts: Sequence[int]) -> IntValuedPoly:
@@ -369,10 +370,10 @@ def schur_dimension_poly(parts: Sequence[int]) -> IntValuedPoly:
     parts = check_partition(parts)
     size = sum(parts)
     values = [_hook_content_value(parts, j) for j in range(size + 1)]
-    if any(v.denominator != 1 for v in values):
+    if any(type(v) is not int for v in values):
         raise InvariantError(f"hook content gave non-integers for {parts}")
     return IntValuedPoly(tuple(
-        sum((-1) ** (i - j) * comb(i, j) * int(values[j]) for j in range(i + 1))
+        sum((-1) ** (i - j) * comb(i, j) * values[j] for j in range(i + 1))
         for i in range(size + 1)
     ))
 
@@ -387,10 +388,10 @@ def schur_apply(parts: Sequence[int], x: KClass) -> KClass:
     return out
 
 
-def hilbert_value(x: KClass, n: int) -> Fraction:
+def hilbert_value(x: KClass, n: int) -> int | Fraction:
     """Dimension of the invariants under an n-point stabilizer, by class."""
     n = _arity(n, "n")
-    return Fraction(sum(c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n))
+    return number(sum(c * comb(n, len(w)) for w, c in x.coeffs.items() if len(w) <= n))
 
 
 def shuffle_words(u: str, v: str) -> Iterable[str]:

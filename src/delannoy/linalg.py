@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import InvariantError
+from .linear import number
 
 
 def _integer_rows(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
@@ -63,7 +64,7 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     return _bareiss(_integer_rows(rows)[0])[0]
 
 
-def determinant(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
+def determinant(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
     """Determinant of a square matrix over the rationals, by the same elimination.
 
     The empty matrix has determinant 1.
@@ -73,5 +74,5 @@ def determinant(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
     m, scale = _integer_rows(rows)
     rank, swaps, last = _bareiss(m)
     if rank < len(m):
-        return Fraction(0)
-    return Fraction(-last if swaps % 2 else last, scale)
+        return 0
+    return number(Fraction(-last if swaps % 2 else last, scale))

@@ -8,11 +8,12 @@ its JSON shape.  A rule on basis keys (a ring product, the antipode, the
 refinement of a cell) acts on combinations through `linear_map` or
 `bilinear_map`.
 
-One number rule holds for every coefficient and breakpoint: `number` stores
-an integral value as an `int` and any other rational as a `Fraction`.  Most
-values in the category are integers (composition signs, dimensions +-1,
-binomial multiplicities), so arithmetic stays in `int` until a real division
-makes a `Fraction`.
+One number rule holds for every coefficient, breakpoint and scalar result
+(a trace, a pairing, an integral, a determinant): `number` gives an integral
+value as an `int` and any other rational as a `Fraction`.  Most values in the
+category are integers (composition signs, dimensions +-1, binomial
+multiplicities), so arithmetic stays in `int` until a real division makes a
+`Fraction`.
 
 `Frozen` is the base of every immutable value: the combinations, and the
 paths, intervals and polynomials, which are plain slotted classes rather
@@ -48,8 +49,9 @@ def frac_str(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(value) -> Fraction:
-    """An exact rational read from JSON: an integer, or a string such as "-3/2".
+def parse_frac(value) -> int | Fraction:
+    """An exact rational read from JSON: an integer, or a string such as "-3/2",
+    in the form `number` gives.
 
     A float or a bool is refused: a float holds a binary approximation (0.1
     would become 3602879701896397/36028797018963968), and JSON's true and
@@ -57,7 +59,7 @@ def parse_frac(value) -> Fraction:
     """
     if type(value) is int or isinstance(value, str):
         try:
-            return Fraction(value)
+            return number(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"expected an integer or a fraction string, got {value!r}")

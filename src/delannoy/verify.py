@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 
@@ -27,35 +26,40 @@ from .paths import Path, all_weights, delannoy_number, enumerate_paths, project_
 DETAIL_LIMIT = 300  # characters kept of a failing check's detail line
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+Check = namedtuple("Check", "name passed detail", defaults=("",))
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list[Check] | None = None) -> None:
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
+        if len(detail) > DETAIL_LIMIT:
+            detail = detail[: DETAIL_LIMIT - 3] + "..."
         self.checks.append(Check(name, bool(passed), detail))
 
     def expect(self, name: str, cases: Iterable[tuple[object, object, object]]) -> None:
         """Add the check `name` over (label, got, want) cases: it stops at the
-        first case with got != want and names it in the detail."""
-        for label, got, want in cases:
-            if got != want:
-                detail = f"at {label}: got {got!r}, want {want!r}"
-                if len(detail) > DETAIL_LIMIT:
-                    detail = detail[: DETAIL_LIMIT - 3] + "..."
-                self.add(name, False, detail)
-                return
+        first case with got != want, or at an exception raised while a case is
+        computed or compared, and names that case in the detail."""
+        last = None
+        try:
+            for label, got, want in cases:
+                if got != want:
+                    self.add(name, False, f"at {label}: got {got!r}, want {want!r}")
+                    return
+                last = label
+        except Exception as exc:
+            where = "before the first case" if last is None else f"after {last}"
+            self.add(name, False, f"{where}: raised {type(exc).__name__}: {exc}")
+            return
         self.add(name, True)
 
 
@@ -502,7 +506,8 @@ def suite_cross_module(report: VerificationReport, rng: random.Random) -> None:
 
     report.expect(
         "cell counts match Hilbert values of the arity classes, n, m <= 4",
-        (((n, m), euler.cell_count(n, m), kring.hilbert_value(kring.schwartz_class(n), m))
+        (((n, m), sum(1 for _ in euler.iter_signatures(n, m)),
+          kring.hilbert_value(kring.schwartz_class(n), m))
          for n, m in itertools.product(range(5), repeat=2)),
     )
     report.expect("key indicators extend to the projectors, length <= 3", key_extensions())
@@ -550,14 +555,24 @@ SUITE_NAMES = [name for name, _ in SUITES]
 
 
 def run_suite(name: str, seed: int = 0) -> VerificationReport:
-    """Run one suite by its identifier (number or full slug)."""
+    """Run one suite by its identifier (number or full slug).
+
+    An exception raised outside the suite's checks fails one more check,
+    "suite runs to the end", whose detail names the last check before it."""
     for slug, fn in SUITES:
         if name in (slug, slug.split("-", 1)[0], str(int(slug.split("-", 1)[0]))):
             report = VerificationReport(slug)
-            fn(report, random.Random(seed))
+            try:
+                fn(report, random.Random(seed))
+            except Exception as exc:
+                last = report.checks[-1].name if report.checks else None
+                where = "before the first check" if last is None else f"after {last}"
+                report.add("suite runs to the end", False,
+                           f"{where}: raised {type(exc).__name__}: {exc}")
             return report
     raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
 
 
-def run_all(seed: int = 0) -> list[VerificationReport]:
-    return [run_suite(slug, seed) for slug in SUITE_NAMES]
+def run_all(seed: int = 0) -> Iterator[VerificationReport]:
+    """Every suite in order, each run when the iterator reaches it."""
+    return (run_suite(slug, seed) for slug in SUITE_NAMES)

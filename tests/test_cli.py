@@ -112,6 +112,16 @@ def test_ring_schur_and_hilbert(capsys):
     assert code == 0 and json.loads(out)["value"] == "6/1"
 
 
+
+def test_ring_schur_of_the_empty_partition_is_the_unit(capsys):
+    code, out = run_cli(capsys, "ring", "schur", "--lambda", "", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"partition": [], "binomial_coefficients": [1],
+                               "value": {"terms": [{"word": "", "coeff": "1/1"}]}}
+    code, out = run_cli(capsys, "ring", "schur", "--lambda", "")
+    assert code == 0
+    assert out == "dimension polynomial (binomial basis): [1]\nvalue on 'b': 1*1\n"
+
 def test_decompose_csv(capsys):
     code, out = run_cli(capsys, "decompose", "--n", "1", "--format", "csv")
     assert code == 0
@@ -165,6 +175,63 @@ def test_failing_check_names_its_input(capsys, monkeypatch):
     assert lines[fail + 1] == "     at ('bw', 4): got 7, want 6"
     assert [line for line in lines if line.startswith("FAIL")] == [lines[fail]]
 
+
+
+def test_a_check_that_raises_is_a_failed_check(capsys, monkeypatch):
+    from delannoy import kring
+    from delannoy.errors import InvariantError
+
+    def raising(x, i):
+        raise InvariantError(f"binom(x, {i}) forced to fail")
+
+    monkeypatch.setattr(kring, "lambda_binomial", raising)
+    code = main(["verify", "10"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and "Traceback" not in captured.out + captured.err
+    assert lines[:5] == [
+        "FAIL 10-lambda-adams :: n-th exterior power of a letter is the n-letter word, n <= 5",
+        "     before the first case: raised InvariantError: binom(x, 0) forced to fail",
+        "FAIL 10-lambda-adams :: binom(x, n) integral for 20 random classes of degree <= 2, n <= 4",
+        "     before the first case: raised InvariantError: binom(x, 0) forced to fail",
+        "PASS 10-lambda-adams :: Adams operations fix every word of length <= 3 for i <= 4",
+    ]
+    assert lines[5] == "2 check(s) failed:"
+
+
+def test_verify_all_goes_on_past_a_suite_that_raises(capsys, monkeypatch):
+    from delannoy import verify
+
+    def cheap(report, rng):
+        report.expect("one is one", [(1, 1, 1)])
+
+    def raising(report, rng):
+        report.expect("halves", ((n, 1 // (2 - n), 1 // (2 - n)) for n in range(3)))
+        raise ValueError("outside a check")
+
+    monkeypatch.setattr(verify, "SUITES", [("01-a", cheap), ("02-b", raising), ("03-c", cheap)])
+    monkeypatch.setattr(verify, "SUITE_NAMES", ["01-a", "02-b", "03-c"])
+    code = main(["verify", "all"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS 01-a :: one is one",
+        "FAIL 02-b :: halves",
+        "     after 1: raised ZeroDivisionError: integer division or modulo by zero",
+        "FAIL 02-b :: suite runs to the end",
+        "     after halves: raised ValueError: outside a check",
+        "PASS 03-c :: one is one",
+        "2 check(s) failed:",
+        "  02-b :: halves",
+        "  02-b :: suite runs to the end",
+    ]
+
+
+def test_verify_loads_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(delannoy.__file__))
+    code = "import sys, delannoy.cli, delannoy.verify; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 def test_export_to_file(tmp_path, capsys):
     target = tmp_path / "table.csv"

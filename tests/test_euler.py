@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from delannoy.euler import (
     HalfOpenInterval,
     SchwartzFn,
-    cell_count,
     cell_representative,
     cell_volume,
     integrate,
@@ -23,7 +22,7 @@ from delannoy.euler import (
     pushforward_coordinate,
     refine,
 )
-from delannoy.paths import weights_up_to
+from delannoy.paths import delannoy_number, weights_up_to
 
 F = Fraction
 
@@ -427,14 +426,15 @@ class TestKeyIndicator:
 
 
 class TestCellCount:
+    # cells of arity n over m breakpoints are in bijection with the paths to (n, m)
     def test_small_values(self):
-        assert cell_count(1, 1) == 3
-        assert cell_count(2, 1) == 5
+        assert sum(1 for _ in iter_signatures(1, 1)) == delannoy_number(1, 1) == 3
+        assert sum(1 for _ in iter_signatures(2, 1)) == delannoy_number(2, 1) == 5
 
     def test_matches_enumeration(self):
         for n in range(5):
             for m in range(4):
-                assert cell_count(n, m) == sum(1 for _ in iter_signatures(n, m))
+                assert delannoy_number(n, m) == sum(1 for _ in iter_signatures(n, m))
 
 
 class TestRepresentatives:

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delannoy import category, euler, kring, linalg, linear, paths
+from delannoy import category, euler, kring, linalg, linear, paths, verify
 from delannoy.category import Morphism
 from delannoy.euler import HalfOpenInterval, SchwartzFn
 from delannoy.kring import IntValuedPoly, KClass, KTensorClass
@@ -284,6 +284,16 @@ def test_path_repr():
     assert repr(Path(2, ())) == "Path[]"
 
 
+def test_schwartz_repr_lists_its_cells():
+    f = SchwartzFn(2, (-7, F(1, 2)), {(1, 3): F(-3, 2), (0, 0): 4})
+    assert repr(f) == "SchwartzFn(2 on [-7, 1/2]: 4*(0, 0) + -3/2*(1, 3))"
+    assert repr(SchwartzFn.zero(3)) == "SchwartzFn(3 on []: 0)"
+    # the widest input of suite 06's random checks: six arity-3 cells over three breakpoints
+    big = SchwartzFn(3, (-8, 0, 8), dict.fromkeys(list(euler.iter_signatures(3, 3))[-6:], -5))
+    detail = f"at {(big, [2, 0, 1])}: got {10**9!r}, want {-30!r}"
+    assert len(detail) < verify.DETAIL_LIMIT
+
+
 def test_path_normalises_and_checks_its_steps():
     p = Path(2, [[1, 0], (0, 1)])
     assert p.steps == ((1, 0), (0, 1)) and type(p.steps) is tuple
@@ -358,23 +368,38 @@ def test_values_are_immutable_and_survive_pickle_and_copy(cls):
             assert [getattr(clone, n) for n in fields] == [getattr(x, n) for n in fields]
 
 
-# every public function or method annotated `-> Fraction`, called so that the
-# value is integral where it can be: the return type must not depend on it
+# every public function or method annotated `-> int | Fraction`, each called
+# once where the value is integral (reached through Fraction arithmetic where
+# it can be) and once where it is not: the number rule of `linear.number`
+# holds for scalar results as it does for coefficients
 _ONE = SchwartzFn(1, (0,), {(1,): 2, (2,): F(1, 2)})
+_HALF = KClass({"b": F(1, 2)})
 SCALAR_CALLS = {
-    "parse_frac": (lambda: linear.parse_frac("4/2"), 2),
-    "SchwartzFn.value_at_cell": (lambda: _ONE.value_at_cell((1,)), 2),
-    "SchwartzFn.scalar_value": (lambda: SchwartzFn.constant(3).scalar_value(), 3),
-    "integrate": (lambda: euler.integrate(euler.point_mass((0,))), 1),
-    "pair": (lambda: euler.pair(_ONE, _ONE), F(15, 4)),
-    "integrate_fully": (lambda: euler.integrate_fully(_ONE), F(3, 2)),
-    "trace": (lambda: category.trace(category.projector("b")), -1),
-    "counit": (lambda: kring.counit(KClass.word("bw")), 1),
-    "inner": (lambda: kring.inner(KClass.word("b"), KClass.word("b")), 1),
-    "binom_at": (lambda: kring.binom_at(4, 2), 6),
-    "IntValuedPoly.evaluate": (lambda: kring.IntValuedPoly((0, 1)).evaluate(5), 5),
-    "hilbert_value": (lambda: kring.hilbert_value(KClass.word("bw"), 4), 6),
-    "determinant": (lambda: linalg.determinant([[2, 1], [1, F(3, 2)]]), 2),
+    "number": (lambda: linear.number(F(4, 2)), 2, lambda: linear.number(F(2, 4)), F(1, 2)),
+    "parse_frac": (lambda: linear.parse_frac("4/2"), 2, lambda: linear.parse_frac("1/2"), F(1, 2)),
+    "SchwartzFn.value_at_cell": (lambda: _ONE.value_at_cell((1,)), 2,
+                                 lambda: _ONE.value_at_cell((2,)), F(1, 2)),
+    "SchwartzFn.scalar_value": (lambda: SchwartzFn.constant(F(6, 2)).scalar_value(), 3,
+                                lambda: SchwartzFn.constant(F(1, 2)).scalar_value(), F(1, 2)),
+    "integrate": (lambda: euler.integrate(_ONE + SchwartzFn(1, (0,), {(0,): F(1, 2)})), 1,
+                  lambda: euler.integrate(_ONE), F(3, 2)),
+    "pair": (lambda: euler.pair(_ONE, SchwartzFn(1, (0,), {(2,): 2})), -1,
+             lambda: euler.pair(_ONE, _ONE), F(15, 4)),
+    "integrate_fully": (lambda: euler.integrate_fully(_ONE + _ONE), 3,
+                        lambda: euler.integrate_fully(_ONE), F(3, 2)),
+    "trace": (lambda: category.trace(category.projector("b")), -1,
+              lambda: category.trace(F(1, 2) * category.projector("b")), F(-1, 2)),
+    "counit": (lambda: kring.counit(KClass({"b": F(1, 2), "bw": F(3, 2)})), 1,
+               lambda: kring.counit(_HALF), F(-1, 2)),
+    "inner": (lambda: kring.inner(_HALF, 2 * KClass.word("b")), 1,
+              lambda: kring.inner(_HALF, KClass.word("b")), F(1, 2)),
+    "binom_at": (lambda: kring.binom_at(4, 2), 6, lambda: kring.binom_at(F(1, 2), 2), F(-1, 8)),
+    "IntValuedPoly.evaluate": (lambda: kring.IntValuedPoly((0, 1)).evaluate(5), 5,
+                               lambda: kring.IntValuedPoly((0, 1)).evaluate(F(1, 2)), F(1, 2)),
+    "hilbert_value": (lambda: kring.hilbert_value(KClass.word("bw"), 4), 6,
+                      lambda: kring.hilbert_value(_HALF, 1), F(1, 2)),
+    "determinant": (lambda: linalg.determinant([[2, 1], [1, F(3, 2)]]), 2,
+                    lambda: linalg.determinant([[F(1, 2)]]), F(1, 2)),
 }
 
 
@@ -388,7 +413,7 @@ def _fraction_functions() -> set[str]:
             for attr, fn in members:
                 fn = getattr(fn, "__func__", fn)
                 if (attr is None or not attr.startswith("_")) and \
-                        getattr(fn, "__annotations__", {}).get("return") == "Fraction":
+                        getattr(fn, "__annotations__", {}).get("return") == "int | Fraction":
                     found.add(name if attr is None else f"{name}.{attr}")
     return found
 
@@ -398,7 +423,15 @@ def test_every_fraction_function_is_called():
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
-def test_scalar_results_are_fractions(name):
-    call, value = SCALAR_CALLS[name]
+def test_scalar_results_follow_the_number_rule(name):
+    call, value, _, _ = SCALAR_CALLS[name]
     result = call()
-    assert type(result) is F and result == value
+    assert type(result) is int and result == value
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+def test_scalar_results_are_fractions(name):
+    # where the value is not integral
+    _, _, call, value = SCALAR_CALLS[name]
+    result = call()
+    assert type(result) is F and result.denominator != 1 and result == value
