@@ -26,15 +26,20 @@ node is (the coefficient of a path that ends there, or None; its sorted
 a suffix share its nodes.  The row of a node pair (u, v) sums, over every
 pair of suffixes below u and v, the signed lifts of the pair, keyed by
 projection.  It takes the lift moves of `paths._MOVES`, the table `lift3`
-walks: the move that emits no projection step flips the sign.  Merging by
-projection is sound because two lifts of one pair of paths never share a
-projection, which `paths._check_moves` verifies on the table at import.  So
-each summand is c1 * c2 * eps(p1, p2, p3), and the row of the two roots is the
-composition.  Both the graph build and the row recursion keep their own
-stacks.  Rows are memoised across calls by node pair, as immutable tuples;
-past `_ROWS_LIMIT` pairs (or nodes) the memo and the interning tables are
-cleared together at the start of the next call, since the ids in one index
-the others.
+reads through its head table: the move that emits no projection step flips
+the sign.  Merging by projection is sound because two lifts of one pair of
+paths never share a projection, which `paths._check_moves` verifies on the
+table at import.  So each summand is c1 * c2 * eps(p1, p2, p3), and the row
+of the two roots is the composition.  Both the graph build and the row
+recursion keep their own stacks.  Rows are memoised across calls by node pair, as immutable tuples,
+and results by pair of roots, as the read-only coefficient mapping that
+`compose` hands out: a repeated composition returns a new `Morphism` shell
+over that mapping, with the operands' arities, since the zero morphisms of
+every arity share one root.  A memoised result maps back to the root of its
+own suffix graph once that is built, so composing it again does not build
+its key again.  Past `_ROWS_LIMIT` pairs (or nodes) both memos and the
+interning tables are cleared together at the start of the next call, since
+the ids in one index the others.
 
 Orientation conventions (fixed here once, verified by the oracle tests):
 
@@ -94,13 +99,16 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
 # benchmark round fills about 5 700, `export --table composition --n 4 --m 3`
 # 58 500.  When the memo or the node table has grown past this bound, every
 # table of the engine is cleared at the start of the next call: their ids
-# index one another.  Twice this bound adds about 50 MiB to the peak of
+# index one another.  The result memo goes with them; it holds one mapping
+# per pair of roots composed, and each such pair has a row, so this bound
+# holds it too.  Twice this bound adds about 50 MiB to the peak of
 # `delannoy verify all`.
 _ROWS_LIMIT = 1 << 16
 
 
 class _Engine:
-    """Interned suffix graphs, interned projection suffixes and the row memo.
+    """Interned suffix graphs, interned projection suffixes, the row memo and
+    the result memo.
 
     A node is a suffix graph's state: (the coefficient of a path that ends
     there, or None; {step: child node}).  A suffix is an id: 0 is the empty
@@ -120,6 +128,8 @@ class _Engine:
         self.suffixes: list = [None]    # suffix id -> (step, id of the rest)
         self.paths: dict = {}           # suffix id -> its decoded Path
         self.rows: dict = {}            # (node id, node id) -> ((suffix id, coeff), ...)
+        self.results: dict = {}         # (root, root) -> the read-only coeffs of their composition
+        self.owners: dict = {}          # id of a mapping in results -> its own root, once built
 
     def node(self, end, edges: list) -> int:
         key = (end, tuple(edges))
@@ -130,12 +140,21 @@ class _Engine:
         return u
 
     def graph(self, f: "Morphism") -> int:
-        """The root of f's suffix graph: its paths, merged where suffixes agree."""
-        # every path of f has dimension 2, so its steps stand for it, hashed as a tuple
-        key = frozenset(zip(map(_STEPS, f.coeffs), f.coeffs.values()))
-        root = self.roots.get(key)
+        """The root of f's suffix graph: its paths, merged where suffixes agree.
+
+        A memoised result finds its root by the identity of its mapping, which
+        `results` keeps alive, once its key has been built.
+        """
+        owner = id(f.coeffs)
+        root = self.owners.get(owner)
         if root is None:
-            root = self.roots[key] = self._build(key)
+            # every path of f has dimension 2, so its steps stand for it, hashed as a tuple
+            key = frozenset(zip(map(_STEPS, f.coeffs), f.coeffs.values()))
+            root = self.roots.get(key)
+            if root is None:
+                root = self.roots[key] = self._build(key)
+            if owner in self.owners:
+                self.owners[owner] = root
         return root
 
     def _build(self, terms) -> int:
@@ -300,9 +319,16 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     with engine.lock:
         if len(engine.rows) > _ROWS_LIMIT or len(engine.nodes) > _ROWS_LIMIT:
             engine.clear()
-        row = engine.row((engine.graph(f), engine.graph(g)))
-        coeffs = {engine.path(s): c for s, c in row}
-    return Morphism._trusted(f.out_arity, g.in_arity, coeffs)
+        pair = (engine.graph(f), engine.graph(g))
+        coeffs = engine.results.get(pair)
+        if coeffs is None:
+            result = Morphism._trusted(f.out_arity, g.in_arity,
+                                       {engine.path(s): c for s, c in engine.row(pair)})
+            engine.results[pair] = result.coeffs
+            engine.owners[id(result.coeffs)] = None
+            return result
+    # the arities come from the operands: the zero morphisms of every arity share one root
+    return Morphism._sharing(f.out_arity, g.in_arity, coeffs)
 
 
 def identity(n: int) -> Morphism:

@@ -42,6 +42,13 @@ COMPOSITION_PAIRS_LIMIT = 20_000
 # ran past 4 minutes.
 ANTIPODE_WORD_LIMIT = 14
 
+# The longest word `projector --word` and `trace --word` take.  The projector
+# sums 2^letters paths, so both double in cost with every letter (same
+# machine): at 14 letters `projector --format json` takes about 0.9 s and
+# 70 MiB for 3.5 MB of output, at 16 about 3.7 s and 240 MiB for 16 MB;
+# `trace` took 0.3 s at 16 letters and 18.8 s at 22.
+PROJECTOR_WORD_LIMIT = 14
+
 # The largest degree `ring adams` and `ring schur` take: max(letters, 1) times
 # the Adams index or |lambda|, the length of the longest words in the binomial
 # chain they build.  At 16, on the same machine, adams bwwb --n 4 takes about
@@ -153,7 +160,14 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def _check_word_length(word: str, limit: int, command: str) -> None:
+    if len(word) > limit:
+        raise ValueError(f"the word has {len(word)} letters, more than the {limit} "
+                         f"that '{command}' takes")
+
+
 def cmd_projector(args) -> int:
+    _check_word_length(args.word, PROJECTOR_WORD_LIMIT, "projector")
     _morphism_output(args, category.projector(args.word))
     return 0
 
@@ -162,6 +176,7 @@ def cmd_trace(args) -> int:
     if args.morphism is not None:
         m = Morphism.loads(args.morphism)
     else:
+        _check_word_length(args.word, PROJECTOR_WORD_LIMIT, "trace --word")
         m = category.projector(args.word)
     value = category.trace(m)
     _emit(
@@ -203,11 +218,7 @@ def cmd_ring(args) -> int:
         t = KTensorClass.pure(KClass.word(args.x), KClass.word(args.y))
         _emit_kclass(args, kring.induce(t))
     elif op == "antipode":
-        if len(args.word) > ANTIPODE_WORD_LIMIT:
-            raise ValueError(
-                f"the word has {len(args.word)} letters, more than the "
-                f"{ANTIPODE_WORD_LIMIT} that 'ring antipode' takes"
-            )
+        _check_word_length(args.word, ANTIPODE_WORD_LIMIT, "ring antipode")
         _emit_kclass(args, kring.antipode(KClass.word(args.word)))
     elif op == "adams":
         if args.n < 1:

@@ -164,13 +164,21 @@ class Combination(Frozen):
         are dropped.
         """
         *space, coeffs = args
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, space):
-            getattr(cls, name).__set__(self, value)
         values = coeffs.values()
         if not (_INT.issuperset(map(type, values)) and 0 not in values):
             coeffs = {k: c for k, c in zip(coeffs, map(number, values)) if c}
-        _set_coeffs(self, MappingProxyType(coeffs))
+        return cls._sharing(*space, MappingProxyType(coeffs))
+
+    @classmethod
+    def _sharing(cls, *args):
+        """`cls(*args)` over the read-only `coeffs` mapping of an earlier
+        `_trusted` result, shared rather than copied: only for a mapping
+        whose keys belong to this space."""
+        *space, coeffs = args
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, space):
+            getattr(cls, name).__set__(self, value)
+        _set_coeffs(self, coeffs)
         return self
 
     def __reduce__(self):

@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import index, sub
+from types import MappingProxyType
 
 from .errors import InvariantError
 from .linear import Frozen, _arity, json_field, json_int
@@ -224,8 +225,8 @@ def project_path(p: Path, axes: Sequence[int]) -> Path:
 
 # Lift moves as (p12 step, p23 step, p13 step): the seven nonzero 3-bit steps
 # (a, b, c), each consuming (a, b) from p12, (b, c) from p23 and emitting (a, c)
-# into p13, with None where that projection is zero.  `lift3` and
-# `category.compose` both walk this table.
+# into p13, with None where that projection is zero.  `category.compose` walks
+# this table, and `lift3` looks moves up in the head table derived from it.
 _MOVES = tuple(
     tuple((x, y) if x or y else None for x, y in ((a, b), (b, c), (a, c)))
     for a, b, c in itertools.product((0, 1), repeat=3)
@@ -233,37 +234,50 @@ _MOVES = tuple(
 )
 
 
+_HEAD_STEPS = (None, (0, 1), (1, 0), (1, 1))  # a 2-D path's head: a step, or None once used up
+
+
+def _head_table(moves: Sequence[tuple]) -> MappingProxyType:
+    """For each triple of heads of (p12, p23, p13), the moves that apply there,
+    in table order: a move applies where each of its steps is None or the head."""
+    table: dict = {heads: [] for heads in itertools.product(_HEAD_STEPS, repeat=3)}
+    for move in moves:
+        for heads in itertools.product(*((s,) if s else _HEAD_STEPS for s in move)):
+            table[heads].append(move)
+    return MappingProxyType({heads: tuple(found) for heads, found in table.items()})
+
+
 def _check_moves(moves: Sequence[tuple]) -> None:
     """Raise InvariantError unless two lifts of one pair never share a projection.
 
     Two different lifts of one pair agree up to their first different move,
-    and both of those moves apply at the same heads.  So their projections
-    differ if, at every pair of heads, the moves that apply emit pairwise
-    distinct steps and a move that emits nothing applies alone.  Every move
+    and both of those moves apply at the same heads of p12 and p23.  So their
+    projections differ if, at every triple of heads, at most one move
+    applies: two moves that emit one step, or a move that emits nothing next
+    to one that emits the head of p13, would both apply there.  Every move
     must consume a step, or a lift would never end.
     """
     if any(s12 is None and s23 is None for s12, s23, _ in moves):
         raise InvariantError("a lift move consumes no step")
-    heads = (None, (0, 1), (1, 0), (1, 1))
-    for h12 in heads:
-        for h23 in heads:
-            emitted = [s13 for s12, s23, s13 in moves
-                       if s12 in (None, h12) and s23 in (None, h23)]
-            if len(set(emitted)) < len(emitted) or (None in emitted and len(emitted) > 1):
-                raise InvariantError(f"two lifts from heads {h12}, {h23} can share a projection")
+    for heads, found in _head_table(moves).items():
+        if len(found) > 1:
+            raise InvariantError(f"two lifts from heads {heads} can share a projection")
 
 
 _check_moves(_MOVES)
+_HEADS = (_MOVES, _head_table(_MOVES))  # the move table, and its head table derived once
 
 
 def lift3(p12: Path, p23: Path, p13: Path) -> Path | None:
     """The unique 3-dimensional path projecting to (p12, p23, p13), or None.
 
-    Walks the three paths at once.  At each step it takes the move of
-    `_MOVES` that applies at the heads of p12 and p23 and emits the head of
-    p13, or the move that emits nothing, which `_check_moves` guarantees
-    applies alone.  So at most one move matches; uniqueness always holds, but
-    two matching moves raise InvariantError rather than being assumed away.
+    Walks the three paths at once.  At each step it looks up, in the head
+    table of `_MOVES`, the moves that apply at the heads of p12, p23 and
+    p13: the move that emits the head of p13, or the move that emits
+    nothing.  The table is derived once, and again whenever `_MOVES` has
+    been replaced.  `_check_moves` guarantees that at most one move applies;
+    uniqueness always holds, but two matching moves raise InvariantError
+    rather than being assumed away.
     """
     if p12.dim != 2 or p23.dim != 2 or p13.dim != 2:
         raise ValueError("lift3 expects 2-dimensional paths")
@@ -274,13 +288,15 @@ def lift3(p12: Path, p23: Path, p13: Path) -> Path | None:
         raise ValueError(
             f"inconsistent targets {p12.target}, {p23.target}, {p13.target}"
         )
+    moves, table = _HEADS
+    if moves is not _MOVES:
+        table = _head_table(_MOVES)
     # Each path ends in None, its head once it is used up.
     s12, s23, s13 = p12.steps + (None,), p23.steps + (None,), p13.steps + (None,)
     i = j = k = 0
     steps: list[Step] = []
     while s12[i] or s23[j]:
-        found = [move for move in _MOVES if move[0] in (None, s12[i])
-                 and move[1] in (None, s23[j]) and move[2] in (None, s13[k])]
+        found = table[s12[i], s23[j], s13[k]]
         if not found:
             return None
         if len(found) > 1:

@@ -5,6 +5,8 @@ Each suite fills a report with named checks.  A check runs over a stream of
 detail names that case.  A suite passes when every check does.  Randomized
 checks draw all their inputs from a seeded generator before they compare, so
 runs are reproducible and a failing check leaves later checks the same draws.
+Every case is computed inside its check, so an engine error fails only the
+checks that read what raised, and the suite's later checks still run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 
 from . import category, euler, kring
@@ -45,13 +48,18 @@ class VerificationReport:
             detail = detail[: DETAIL_LIMIT - 3] + "..."
         self.checks.append(Check(name, bool(passed), detail))
 
-    def expect(self, name: str, cases: Iterable[tuple[object, object, object]]) -> None:
+    def expect(self, name: str, cases: Iterable[tuple[object, object, object]]
+               | Callable[[], Iterable[tuple[object, object, object]]]) -> None:
         """Add the check `name` over (label, got, want) cases: it stops at the
         first case with got != want, or at an exception raised while a case is
-        computed or compared, and names that case in the detail."""
+        computed or compared, and names that case in the detail.
+
+        `cases` is an iterable, or a function that returns one: a list of
+        cases is computed before its check starts, so a function called here
+        keeps an error raised while computing them inside this check."""
         last = None
         try:
-            for label, got, want in cases:
+            for label, got, want in cases() if callable(cases) else cases:
                 if got != want:
                     self.add(name, False, f"at {label}: got {got!r}, want {want!r}")
                     return
@@ -96,7 +104,7 @@ def suite_delannoy_counts(report: VerificationReport, rng: random.Random) -> Non
         "enumeration matches recurrence for n <= 6",
         (((n, n), len(enumerate_paths((n, n))), delannoy_number(n, n)) for n in range(7)),
     )
-    report.expect("thirteen (2,2)-paths", [((2, 2), len(enumerate_paths((2, 2))), 13)])
+    report.expect("thirteen (2,2)-paths", lambda: [((2, 2), len(enumerate_paths((2, 2))), 13)])
     report.expect(
         "central numbers match the squared-binomial sum for n <= 8",
         ((n, delannoy_number(n, n), sum(comb(n, k) ** 2 * 2**k for k in range(n + 1)))
@@ -147,23 +155,26 @@ def suite_category_axioms(report: VerificationReport, rng: random.Random) -> Non
     # Hom(m -> n) x Hom(n -> m) -> Z is perfect in the path bases, so its Gram
     # determinant is a unit.  Entrywise, trace([p] o [q]) is the Euler integral
     # over O_p meet O_q transposed: (-1)^len(p) if q is p transposed, else 0.
-    grams = []
-    for n, m in [*itertools.product(range(4), repeat=2), (3, 4), (4, 3)]:
+    # Both checks read each block, built on first use.
+    shapes = [*itertools.product(range(4), repeat=2), (3, 4), (4, 3)]
+
+    @cache
+    def gram(n: int, m: int) -> tuple:
         ps, qs = enumerate_paths((n, m)), enumerate_paths((m, n))
         right = [Morphism.basis(q) for q in qs]
-        gram = [[category.trace(f @ g) for g in right] for f in map(Morphism.basis, ps)]
-        grams.append(((n, m), ps, qs, gram))
+        return ps, qs, [[category.trace(f @ g) for g in right] for f in map(Morphism.basis, ps)]
 
     def entries():
-        for _, ps, qs, gram in grams:
-            for p, row in zip(ps, gram):
+        for n, m in shapes:
+            ps, qs, matrix = gram(n, m)
+            for p, row in zip(ps, matrix):
                 transposed = project_path(p, (1, 0))
                 for q, entry in zip(qs, row):
                     yield (p, q), entry, (-1) ** len(p) if q == transposed else 0
 
     report.expect(
         "trace pairing has Gram determinant (-1)^(n+m) at n, m <= 3, (3, 4), (4, 3)",
-        (((n, m), determinant(gram), (-1) ** (n + m)) for (n, m), _, _, gram in grams),
+        (((n, m), determinant(gram(n, m)[2]), (-1) ** (n + m)) for n, m in shapes),
     )
     report.expect("trace pairing is (-1)^len(p) at p transposed, else 0, same arities", entries())
 
@@ -245,13 +256,14 @@ def suite_multiplicities(report: VerificationReport, rng: random.Random) -> None
 
 def suite_euler_calculus(report: VerificationReport, rng: random.Random) -> None:
     point = euler.point_mass((0,))
-    report.expect("point mass integrates to 1", [(point, euler.integrate(point), 1)])
+    report.expect("point mass integrates to 1", lambda: [(point, euler.integrate(point), 1)])
     open_iv = SchwartzFn(1, (0, 1), {(2,): 1})
-    report.expect("open interval integrates to -1", [(open_iv, euler.integrate(open_iv), -1)])
+    report.expect("open interval integrates to -1",
+                  lambda: [(open_iv, euler.integrate(open_iv), -1)])
     half = HalfOpenInterval("b", 1, 0)
     report.expect(
         "half-open interval integrates to 0",
-        [(half, euler.integrate(euler.interval_indicator([half])), 0)],
+        lambda: [(half, euler.integrate(euler.interval_indicator([half])), 0)],
     )
     ordered = []
     for _ in range(100):
@@ -280,10 +292,10 @@ def suite_ring(report: VerificationReport, rng: random.Random) -> None:
     b, w = KClass.word("b"), KClass.word("w")
     bw, wb = KClass.word("bw"), KClass.word("wb")
     one = KClass.unit()
-    report.expect("b*b = 2bb + b", [((b, b), b * b, 2 * KClass.word("bb") + b)])
-    report.expect("b*w = bw + wb + b + w + 1", [((b, w), b * w, bw + wb + b + w + one)])
+    report.expect("b*b = 2bb + b", lambda: [((b, b), b * b, 2 * KClass.word("bb") + b)])
+    report.expect("b*w = bw + wb + b + w + 1", lambda: [((b, w), b * w, bw + wb + b + w + one)])
     expected = 2 * KClass.word("bbw") + KClass.word("bwb") + 2 * bw + KClass.word("bb") + b
-    report.expect("b*bw expansion", [((b, bw), b * bw, expected)])
+    report.expect("b*bw expansion", lambda: [((b, bw), b * bw, expected)])
     words3 = weights_up_to(3)
 
     def commutes_with_unit():
@@ -351,19 +363,16 @@ def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
     def delta(x: KClass) -> KTensorClass:
         return kring.restrict(x) - KTensorClass.pure(x, one) - KTensorClass.pure(one, x)
 
-    basis_words = weights_up_to(2)
-    images = [delta(KClass.word(u)) for u in basis_words]
-    keys = dict.fromkeys(key for img in images for key in img.coeffs)
-    matrix = [[img.coeffs.get(k, 0) for img in images] for k in keys]
-    kernel_dim = len(basis_words) - matrix_rank(matrix)
-    report.expect(
-        "primitives are exactly the span of b+1 and w+1",
-        [
-            (b + one, delta(b + one), KTensorClass()),
-            (w + one, delta(w + one), KTensorClass()),
-            ("the kernel of delta at degree <= 2", kernel_dim, 2),
-        ],
-    )
+    def primitives():
+        yield b + one, delta(b + one), KTensorClass()
+        yield w + one, delta(w + one), KTensorClass()
+        basis_words = weights_up_to(2)
+        images = [delta(KClass.word(u)) for u in basis_words]
+        keys = dict.fromkeys(key for img in images for key in img.coeffs)
+        matrix = [[img.coeffs.get(k, 0) for img in images] for k in keys]
+        yield "the kernel of delta at degree <= 2", len(basis_words) - matrix_rank(matrix), 2
+
+    report.expect("primitives are exactly the span of b+1 and w+1", primitives())
 
     def graded_products():
         for u, v in itertools.product(weights_up_to(3), repeat=2):
@@ -486,7 +495,7 @@ def suite_schur(report: VerificationReport, rng: random.Random) -> None:
     b = KClass.word("b")
     report.expect(
         "column pair and row pair on a single letter",
-        [
+        lambda: [
             ((1, 1), kring.schur_apply((1, 1), b), KClass.word("bb")),
             ((2,), kring.schur_apply((2,), b), KClass.word("bb") + b),
         ],

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from delannoy import euler, verify
+from delannoy import category, euler, kring, verify
 from delannoy.cli import main
+from delannoy.errors import InvariantError
 from delannoy.verify import DETAIL_LIMIT, SUITE_NAMES, VerificationReport, run_suite
 
 # sha256 of the stdout of a passing `delannoy verify all` (seed 0): one PASS line per check
@@ -82,3 +83,41 @@ def test_a_failing_check_leaves_the_random_draws_alone(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == [first_random]
     assert "got 1000000000" in report.checks[3].detail
     assert failing.getstate() == passing.getstate()
+
+
+def _raising(original, fails):
+    def wrapper(*args):
+        if fails(*args):
+            raise InvariantError("forced")
+        return original(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("suite, module, name, fails, failing", [
+    ("03", category, "trace", lambda f: f.out_arity == 2, [
+        "trace pairing has Gram determinant (-1)^(n+m) at n, m <= 3, (3, 4), (4, 3)",
+        "trace pairing is (-1)^len(p) at p transposed, else 0, same arities",
+    ]),
+    ("06", euler, "interval_indicator", lambda intervals: True,
+     ["half-open interval integrates to 0"]),
+    ("08", verify, "matrix_rank", lambda matrix: True,
+     ["primitives are exactly the span of b+1 and w+1"]),
+    ("11", kring, "schur_apply", lambda parts, x: True, [
+        "column pair and row pair on a single letter",
+        "counit of a Schur value matches the polynomial at -1, |partition| <= 4",
+    ]),
+], ids=["03", "06", "08", "11"])
+def test_an_engine_error_fails_only_the_checks_that_read_it(
+        capsys, monkeypatch, suite, module, name, fails, failing):
+    # the suite's cases are computed inside its checks: every check still runs
+    names = [c.name for c in _report(SUITE_NAMES[int(suite) - 1]).checks]
+    monkeypatch.setattr(module, name, _raising(getattr(module, name), fails))
+    assert main(["verify", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    printed = [line.split(" :: ", 1) for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert [n for _, n in printed] == names
+    assert [n for status, n in printed if status.startswith("FAIL")] == failing
+    details = [line for line in lines if line.startswith("     ")]
+    assert len(details) == len(failing)
+    assert all(": raised InvariantError: forced" in line for line in details)

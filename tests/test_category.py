@@ -155,6 +155,29 @@ class TestComposition:
         pi, zero = projector("bwb"), Morphism.zero(3, 3)
         assert compose(zero, pi) == zero == compose(pi, zero)
 
+    def test_repeated_compositions_share_one_read_only_mapping(self):
+        engine = category_module._ENGINE
+        with engine.lock:
+            engine.clear()
+        f, g = projector("bw"), random_morphism(random.Random(3), 2, 1)
+        first, again = compose(f, g), compose(projector("bw"), g)
+        assert first == again and first.coeffs is again.coeffs and first is not again
+        with pytest.raises(TypeError):
+            again.coeffs[A] = 1
+        # a memoised result composed again finds its root by its mapping
+        h = identity(1)
+        assert compose(again, h) == compose(Morphism(2, 1, dict(first.coeffs)), h) == first
+        assert engine.owners[id(first.coeffs)] == engine.graph(Morphism(2, 1, dict(first.coeffs)))
+
+    def test_zero_results_keep_their_own_arities(self):
+        # the zero morphisms of every arity share one root, so a memoised result
+        # serves them all; morphisms are equal only over the same arities
+        g = projector("b")
+        for n, m in itertools.product(range(4), repeat=2):
+            assert compose(Morphism.zero(n, 2), Morphism.zero(2, m)) == Morphism.zero(n, m)
+            assert compose(Morphism.zero(n, 1), g) == Morphism.zero(n, 1)
+            assert compose(g, Morphism.zero(1, m)) == Morphism.zero(1, m)
+
     def test_row_memo_clears_past_its_bound(self, monkeypatch):
         words = all_weights(3)
         pairs = [(projector(u), projector(v)) for u in words for v in words]
@@ -163,16 +186,23 @@ class TestComposition:
         want = [compose(f, g) for f, g in pairs]
         engine = category_module._ENGINE
         monkeypatch.setattr(category_module, "_ROWS_LIMIT", 40)
-        sizes = []
+        sizes, results = [], [len(engine.results)]
         for _ in range(2):
             for (f, g), expected in zip(pairs, want):
                 before = len(engine.rows)
                 assert compose(f, g) == expected
                 sizes.append((before, len(engine.rows)))
                 assert all(type(row) is tuple for row in engine.rows.values())
-        # the memo passed its bound and was cleared at the start of a later call
+                # every memoised result has a row, and maps back by the id of its mapping
+                assert engine.results.keys() <= engine.rows.keys()
+                assert engine.owners.keys() == {id(c) for c in engine.results.values()}
+                results.append(len(engine.results))
+        # the memo passed its bound and was cleared at the start of a later call,
+        # the results with the rows
         assert any(before > 40 for before, _ in sizes)
         assert any(after < before for before, after in sizes)
+        assert all(now < last for (before, after), last, now in zip(sizes, results, results[1:])
+                   if after < before)
 
 
     def test_threads_share_the_engine(self, monkeypatch):

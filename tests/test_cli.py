@@ -455,6 +455,30 @@ def test_antipode_of_a_long_word_is_a_usage_error(capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("command", ["projector", "trace"])
+def test_a_long_projector_word_is_a_usage_error(command):
+    # trace --word b*22 took 18.8 s to print one number, projector --word b*22 ran past 20 s
+    limit = cli.PROJECTOR_WORD_LIMIT
+    assert 4 <= limit < 22
+    name = "projector" if command == "projector" else "trace --word"
+    for word in ("b" * 22, "bw" * 600):
+        proc = _run_process(command, "--word", word, "--format", "json")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: the word has {len(word)} letters, more than the "
+                               f"{limit} that '{name}' takes\n")
+
+
+def test_projector_word_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PROJECTOR_WORD_LIMIT", 3)
+    code, out = run_cli(capsys, "projector", "--word", "bwb", "--format", "json")
+    assert code == 0 and len(json.loads(out)["terms"]) == 8
+    code, out = run_cli(capsys, "trace", "--word", "bwb", "--format", "json")
+    assert code == 0 and json.loads(out) == {"trace": "-1/1"}
+    for command in ("projector", "trace"):
+        assert main([command, "--word", "bwbw"]) == 2
+        assert "the word has 4 letters, more than the 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, degree", [
     (("ring", "adams", "--word", "bwbw", "--n", "8"), 32),  # ran past 40 s
     (("ring", "adams", "--word", "", "--n", "17"), 17),

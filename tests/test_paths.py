@@ -218,6 +218,33 @@ class TestLift3:
         with pytest.raises(InvariantError):
             lift3(diag, diag, diag)
 
+    def test_head_table_matches_a_scan_of_the_moves(self):
+        # the walk of the move table that the head table replaced, kept as the reference
+        def scan(p12, p23, p13):
+            s12, s23, s13 = p12.steps + (None,), p23.steps + (None,), p13.steps + (None,)
+            i = j = k = 0
+            steps = []
+            while s12[i] or s23[j]:
+                found = [move for move in paths_module._MOVES if move[0] in (None, s12[i])
+                         and move[1] in (None, s23[j]) and move[2] in (None, s13[k])]
+                assert len(found) <= 1
+                if not found:
+                    return None
+                (m12, m23, m13), = found
+                i, j, k = i + (m12 is not None), j + (m23 is not None), k + (m13 is not None)
+                (a, b), (b2, c) = m12 or (0, 0), m23 or (0, 0)
+                steps.append((a, b | b2, c))
+            return None if s13[k] else Path(3, steps)
+
+        lifted = 0
+        for n, m, l in itertools.product(range(3), repeat=3):
+            for p12, p23, p13 in itertools.product(
+                    enumerate_paths((n, m)), enumerate_paths((m, l)), enumerate_paths((n, l))):
+                want = scan(p12, p23, p13)
+                assert lift3(p12, p23, p13) == want
+                lifted += want is not None
+        assert lifted == sum(len(enumerate_paths(t)) for t in itertools.product(range(3), repeat=3))
+
     def test_long_random_lifts(self):
         # the walk is linear in path length and keeps no stack: a random 3-D
         # path of up to 1200 steps is recovered from its three projections
