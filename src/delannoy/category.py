@@ -97,12 +97,12 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
 
 # Node pairs the row memo of `compose` keeps between calls.  A path-compose
 # benchmark round fills about 5 700, `export --table composition --n 4 --m 3`
-# 58 500.  When the memo or the node table has grown past this bound, every
-# table of the engine is cleared at the start of the next call: their ids
-# index one another.  The result memo goes with them; it holds one mapping
-# per pair of roots composed, and each such pair has a row, so this bound
-# holds it too.  Twice this bound adds about 50 MiB to the peak of
-# `delannoy verify all`.
+# 58 500.  Past this bound (or as many nodes), every table of the engine is
+# cleared at the start of the next call, not entry by entry as `kring._Memo`
+# does: the ids index one another, and `row` reads child rows mid-call.  The
+# result memo goes too; it holds one mapping per pair of roots composed, and
+# each such pair has a row, so this bound holds it too.  Twice this bound adds
+# about 50 MiB to the peak of `delannoy verify all`.
 _ROWS_LIMIT = 1 << 16
 
 

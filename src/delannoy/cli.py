@@ -21,9 +21,9 @@ from .paths import Path, delannoy_number, enumerate_paths, weights_up_to
 
 FORMATS = ("json", "csv", "pretty")
 
-# The most paths `delannoy paths` lists.  D(n, m) grows about sixfold with each
-# step of n = m: listing D(7, 7) = 48 639 paths takes seconds and about 120 MiB,
-# D(8, 8) = 265 729 about 600 MiB, and D(20, 20) is about 2.6e14.
+# The most paths `delannoy paths` lists, and the most basis paths a `compose`
+# result may have.  D(n, m) grows about sixfold with each step of n = m: D(7, 7)
+# = 48 639 paths take seconds and about 120 MiB, D(8, 8) = 265 729 about 600 MiB.
 PATHS_LIMIT = 100_000
 
 # The most basis pairs `export --table composition` composes: D(n, m) * D(m, n)
@@ -39,7 +39,7 @@ COMPOSITION_PAIRS_LIMIT = 20_000
 # letters) takes about 0.7 s and 75 MiB, bwbw...bw with 16 letters about 5 s
 # and 230 MiB.  The antipode needs no stack that grows with the word.  A word
 # of b's alone is far cheaper, but not cheap: 100 b's take about 2 s, and 150
-# ran past 4 minutes.
+# about 12 s.
 ANTIPODE_WORD_LIMIT = 14
 
 # The longest word `projector --word` and `trace --word` take.  The projector
@@ -72,12 +72,9 @@ def _path_cell(p: Path) -> str:
     return json.dumps([list(s) for s in p.steps], separators=(",", ":"))
 
 
-class _PathCells(dict):
-    """`_path_cell` of each path looked up, encoded on its first lookup only."""
-
-    def __missing__(self, p: Path) -> str:
-        text = self[p] = _path_cell(p)
-        return text
+def _check_size(size: int, limit: int, subject: str, taker: str) -> None:
+    if size > limit:
+        raise ValueError(f"{subject}, more than the {limit} that {taker}")
 
 
 def _kclass_rows(x: KClass) -> list[list[str]]:
@@ -122,11 +119,8 @@ def cmd_count(args) -> int:
 def cmd_paths(args) -> int:
     if min(args.n, args.m) >= 0:  # enumerate_paths reports a negative target
         count = delannoy_number(args.n, args.m)
-        if count > PATHS_LIMIT:
-            raise ValueError(
-                f"there are {count} paths to ({args.n}, {args.m}), more than the "
-                f"{PATHS_LIMIT} that 'paths' lists; 'count' gives the number alone"
-            )
+        _check_size(count, PATHS_LIMIT, f"there are {count} paths to ({args.n}, {args.m})",
+                    "'paths' lists; 'count' gives the number alone")
     paths = enumerate_paths((args.n, args.m))
     _emit(
         args,
@@ -152,6 +146,9 @@ def _parse_path(text: str) -> Path:
 
 def cmd_compose(args) -> int:
     p1, p2 = _parse_path(args.p1), _parse_path(args.p2)
+    if p1.dim == 2 == p2.dim and p1.target[1] == p2.target[0]:  # else the engine refuses them
+        count = delannoy_number(p1.target[0], p2.target[1])
+        _check_size(count, PATHS_LIMIT, f"the result has {count} basis paths", "'compose' takes")
     if args.oracle:
         result = category.compose_oracle(p1, p2)
     else:
@@ -161,9 +158,7 @@ def cmd_compose(args) -> int:
 
 
 def _check_word_length(word: str, limit: int, command: str) -> None:
-    if len(word) > limit:
-        raise ValueError(f"the word has {len(word)} letters, more than the {limit} "
-                         f"that '{command}' takes")
+    _check_size(len(word), limit, f"the word has {len(word)} letters", f"'{command}' takes")
 
 
 def cmd_projector(args) -> int:
@@ -203,9 +198,8 @@ def _emit_ktensor(args, t: KTensorClass) -> None:
 
 def _check_ring_degree(word: str, factor: int, name: str, op: str) -> None:
     degree = max(len(word), 1) * factor
-    if degree > RING_DEGREE_LIMIT:
-        raise ValueError(f"the degree max(letters, 1) * {name} is {degree}, more than the "
-                         f"{RING_DEGREE_LIMIT} that 'ring {op}' takes")
+    _check_size(degree, RING_DEGREE_LIMIT, f"the degree max(letters, 1) * {name} is {degree}",
+                f"'ring {op}' takes")
 
 
 def cmd_ring(args) -> int:
@@ -328,21 +322,18 @@ def cmd_export(args) -> int:
         m = args.m if args.m is not None else args.n
         if min(args.n, m) >= 0:  # enumerate_paths reports a negative target
             pairs = delannoy_number(args.n, m) * delannoy_number(m, args.n)
-            if pairs > COMPOSITION_PAIRS_LIMIT:
-                raise ValueError(
-                    f"the composition table for n = {args.n}, m = {m} has {pairs} basis "
-                    f"pairs, more than the {COMPOSITION_PAIRS_LIMIT} that 'export' composes"
-                )
+            _check_size(pairs, COMPOSITION_PAIRS_LIMIT, f"the composition table for n = "
+                        f"{args.n}, m = {m} has {pairs} basis pairs", "'export' composes")
         table = {"table": "composition", "n": args.n, "m": m}
         header = ["left", "right", "result", "coeff"]
-        cells = _PathCells()
-        right = [(Morphism.basis(p2), cells[p2]) for p2 in enumerate_paths((m, args.n))]
+        cell = lru_cache(maxsize=None)(_path_cell)  # each path is encoded once
+        right = [(Morphism.basis(p2), cell(p2)) for p2 in enumerate_paths((m, args.n))]
         rows = []
         for p1 in enumerate_paths((args.n, m)):
-            f, left = Morphism.basis(p1), cells[p1]
+            f, left = Morphism.basis(p1), cell(p1)
             for g, right_cell in right:
                 for p3, c in (f @ g).terms():
-                    rows.append([left, right_cell, cells[p3], frac_str(c)])
+                    rows.append([left, right_cell, cell(p3), frac_str(c)])
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:

@@ -21,9 +21,9 @@ its number rule: an `int` when integral, a `Fraction` otherwise, so a
 `Fraction` appears only after a real division (a /j step of the binomial
 chain that leaves a remainder) or where a caller supplies one.
 `_tensor_basis`, a bottom-up dynamic programme over suffix pairs (Hoffman's
-quasi-shuffle recursion) that reads memoised pairs, keeps immutable (word,
-int) tuples in a dict keyed by the unordered pair, and `_antipode_word` in an
-LRU cache, each of at most `_CACHE_SIZE` entries.
+quasi-shuffle recursion) that reads memoised pairs, and `_antipode_word` keep
+immutable (word, int) tuples in two `_Memo`s: the first keyed by the
+unordered pair, each bounded by the terms it stores (`_MEMO_TERMS`).
 Outputs that must be integral raise `InvariantError` if they are not.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 from numbers import Rational
 
@@ -41,11 +40,10 @@ from .linear import (Combination, Frozen, _arity, bilinear_map, frac_str, json_f
                      json_int, linear_map, number, parse_frac)
 from .paths import check_weight
 
-_CACHE_SIZE = 4096  # entries per memo; a ring-products round misses 386 word pairs
+# Terms (word, count) each memo stores over all its entries.  A ring-products round
+# stores 14 039 in 386 pairs; `verify all` peaks at about 125 MiB, b^150's antipode takes 12 s.
+_MEMO_TERMS = 750_000
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-# (u, v) with u <= v -> `_tensor_basis(u, v)`; no lock, as a race costs a count or a recomputation
-_pairs: dict = {}
-_pair_counts = [0, 0]  # hits, misses of `_tensor_basis` in `_pairs`
 _MIXED = ("b", "w", "")  # the words of b + w + 1: what a b/w collision emits
 _SWAP = str.maketrans("bw", "wb")
 
@@ -145,6 +143,42 @@ class KTensorClass(Combination):
         })
 
 
+class _Memo(dict):
+    """Immutable tuples by key, at most `_MEMO_TERMS` terms in all.  A store past
+    the bound first drops the oldest half of the entries; a longer tuple is not
+    kept.  No lock: a race costs a count or a recomputation until an eviction."""
+
+    __slots__ = ("terms", "counts")
+
+    def __init__(self) -> None:  # dict.__new__ has made it empty
+        self.terms, self.counts = 0, [0, 0]  # terms stored; hits, misses
+
+    def lookup(self, key):
+        out = self.get(key)
+        self.counts[out is None] += 1
+        return out
+
+    def store(self, key, value: tuple) -> tuple:
+        if len(value) <= _MEMO_TERMS:
+            while self.terms + len(value) > _MEMO_TERMS:  # ends once the memo is empty
+                for old in list(self)[: (len(self) + 1) // 2]:  # in insertion order
+                    self.pop(old, None)
+                self.terms = sum(map(len, self.values()))
+            self[key] = value
+            self.terms += len(value)
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.terms = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(*self.counts, _MEMO_TERMS, len(self))
+
+
+_pairs, _antipodes = _Memo(), _Memo()  # (u, v) with u <= v -> `_tensor_basis(u, v)`; w -> S(w)
+
+
 def concat_mul(x: KClass, y: KClass) -> KClass:
     """Bilinear extension of word concatenation."""
     return bilinear_map(KClass, (), lambda u, v: ((u + v, 1),), x, y)
@@ -162,9 +196,7 @@ def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
     shorter word.
     """
     key = (lam, mu) if lam <= mu else (mu, lam)
-    out = _pairs.get(key)
-    _pair_counts[out is None] += 1
-    if out is not None:
+    if (out := _pairs.lookup(key)) is not None:
         return out
     if len(mu) > len(lam):
         lam, mu = mu, lam
@@ -190,14 +222,7 @@ def _tensor_basis(lam: str, mu: str) -> tuple[tuple[str, int], ...]:
                 cell = cell.items()
             row[j] = cell
         below = row
-    out = tuple(below[0])
-    if len(_pairs) >= _CACHE_SIZE:
-        _pairs.clear()
-    _pairs[key] = out
-    return out
-
-
-_tensor_basis.cache_info = lambda: _CacheInfo(*_pair_counts, _CACHE_SIZE, len(_pairs))
+    return _pairs.store(key, tuple(below[0]))
 
 
 def tensor_mul(x: KClass, y: KClass) -> KClass:
@@ -244,11 +269,12 @@ def counit(x: KClass) -> int | Fraction:
     return number(sum(c * (-1 if len(w) % 2 else 1) for w, c in x.coeffs.items()))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _antipode_word(w: str) -> tuple[tuple[str, int], ...]:
     """S(w) as (word, int) pairs, from S(s) = (-1)^|s| - sum over i of
     (s[:i] + s[:i-1]) * S(s[i:]), filled in for the suffixes s of w from the
     shortest up, so that the stack does not grow with the word."""
+    if (out := _antipodes.lookup(w)) is not None:
+        return out
     tails = [(("", 1),)]  # tails[n]: S of the suffix of w with n letters
     for k in range(len(w) - 1, -1, -1):
         s = w[k:]
@@ -259,7 +285,10 @@ def _antipode_word(w: str) -> tuple[tuple[str, int], ...]:
                     for t, d in _tensor_basis(head, v):
                         out[t] = out.get(t, 0) - c * d
         tails.append(tuple((t, c) for t, c in out.items() if c))
-    return tails[-1]
+    return _antipodes.store(w, tails[-1])
+
+
+_tensor_basis.cache_info, _antipode_word.cache_info = _pairs.cache_info, _antipodes.cache_info
 
 
 def antipode(x: KClass) -> KClass:

@@ -378,6 +378,55 @@ def test_composition_export_budget_boundary(capsys, monkeypatch):
     assert "has 25 basis pairs, more than the 24" in capsys.readouterr().err
 
 
+def _straight(step, k):
+    return json.dumps([step] * k, separators=(",", ":"))
+
+
+ROUTES = pytest.mark.parametrize("route", [(), ("--oracle",)], ids=["rule", "oracle"])
+
+
+@ROUTES
+def test_compose_budget(capsys, route):
+    # [[1,0]]*8 then [[0,1]]*8: the result has D(8, 8) = 265 729 basis paths, refused
+    # before anything is composed (about 10 s and 760 MiB otherwise)
+    assert cli.delannoy_number(7, 7) <= cli.PATHS_LIMIT < cli.delannoy_number(8, 8)
+    argv = ["compose", "--p1", _straight([1, 0], 8), "--p2", _straight([0, 1], 8), *route]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the result has 265729 basis paths, more than the "
+                   f"{cli.PATHS_LIMIT} that 'compose' takes\n")
+
+
+@ROUTES
+def test_compose_budget_boundary(capsys, monkeypatch, route):
+    # [[1,1]] then [[1,1]]: D(1, 1) = 3 result paths
+    argv = ["compose", "--p1", "[[1,1]]", "--p2", "[[1,1]]", "--format", "csv", *route]
+    monkeypatch.setattr(cli, "PATHS_LIMIT", 3)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == "path,coeff"
+    monkeypatch.setattr(cli, "PATHS_LIMIT", 2)
+    assert main(argv) == 2
+    assert "has 3 basis paths, more than the 2 that" in capsys.readouterr().err
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "p1, p2, rule, oracle",
+    [
+        ('{"d":1,"steps":[[1]]}', "[[1,1]]", "not enough values to unpack", "not enough values"),
+        ("[[1,1]]", '{"d":3,"steps":[[1,1,1]]}', "too many values to unpack", "too many values"),
+        # mismatched inner targets, whatever the size of the result
+        (_straight([1, 0], 8), _straight([1, 1], 8), "cannot compose 8<-0 with 8<-8",
+         "inner targets differ: (8, 0) vs (8, 8)"),
+    ],
+    ids=["1-d", "3-d", "mismatched"],
+)
+def test_compose_errors_come_before_the_budget(capsys, route, p1, p2, rule, oracle):
+    assert main(["compose", "--p1", p1, "--p2", p2, *route]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (oracle if route else rule) in err
+
+
 NULL_COEFF = '{"n":1,"m":1,"terms":[{"path":{"d":2,"steps":[[1,1]]},"coeff":null}]}'
 FLOAT_N = '{"n":2.9,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":"1"}]}'
 FLOAT_COEFF = '{"n":2,"m":2,"terms":[{"path":{"d":2,"steps":[[1,1],[1,1]]},"coeff":0.1}]}'

@@ -251,7 +251,7 @@ class TestEngine:
         pairs = [(random_class(rng, 4, 4), random_class(rng, 3, 4)) for _ in range(200)]
         square = schwartz_class(3) * schwartz_class(3)
         products = [x * y for x, y in pairs]
-        monkeypatch.setattr(kring, "_CACHE_SIZE", 3)
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 3)
         kring._pairs.clear()
         assert schwartz_class(3) * schwartz_class(3) == square
         assert [x * y for x, y in pairs] == products
@@ -261,7 +261,7 @@ class TestEngine:
         rng = random.Random(12)
         pairs = [(random_class(rng, 4, 3), random_class(rng, 3, 3)) for _ in range(40)]
         want = [x * y for x, y in pairs]
-        monkeypatch.setattr(kring, "_CACHE_SIZE", 3)  # every few misses empty the memo
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 3)  # every few misses evict half the memo
         results = [None] * 4
 
         def work(k):
@@ -288,7 +288,63 @@ class TestEngine:
         assert kring._tensor_basis(v, u) is first
         after = kring._tensor_basis.cache_info()
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-        assert after.maxsize == kring._CACHE_SIZE and 1 <= after.currsize <= after.maxsize
+        assert after.maxsize == kring._MEMO_TERMS and 1 <= after.currsize <= after.maxsize
+
+    def test_term_count_is_the_stored_length(self, monkeypatch):
+        rng = random.Random(13)
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 300)
+        kring._pairs.clear()
+        before = kring._tensor_basis.cache_info()
+        for _ in range(60):
+            random_class(rng, 4, 4) * random_class(rng, 4, 4)
+            assert kring._pairs.terms == sum(map(len, kring._pairs.values())) <= 300
+        info = kring._tensor_basis.cache_info()
+        assert info.maxsize == 300 and info.misses - before.misses > info.currsize  # it evicted
+
+    def test_store_drops_the_oldest_half(self, monkeypatch):
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 10)
+        memo = kring._Memo()
+        for k in range(6):
+            memo.store(k, (("b", 1), ("w", 1)))
+        assert list(memo) == [3, 4, 5] and memo.terms == 6
+        assert memo.store("long", (("", 1),) * 11) and "long" not in memo
+        assert (memo.lookup(5), memo.lookup(0)) == ((("b", 1), ("w", 1)), None)
+        assert memo.cache_info() == (1, 1, 10, 3)
+        memo.clear()
+        assert memo.terms == 0 and memo.cache_info() == (1, 1, 10, 0)
+
+    def test_newest_entry_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 40)
+        kring._pairs.clear()
+        keys = set()
+        for u in weights_up_to(3):
+            for v in weights_up_to(2):
+                product = kring._tensor_basis(u, v)
+                keys.add((u, v) if u <= v else (v, u))
+                assert kring._pairs[(u, v) if u <= v else (v, u)] is product
+        assert len(kring._pairs) < len(keys)  # it evicted
+
+    def test_values_match_the_unbounded_memo(self, monkeypatch):
+        rng = random.Random(14)
+        pairs = [(random_class(rng, 5, 4), random_class(rng, 4, 4)) for _ in range(40)]
+        words = ["".join(rng.choice("bw") for _ in range(7)) for _ in range(10)]
+        monkeypatch.setattr(kring, "_MEMO_TERMS", float("inf"))
+        kring._pairs.clear()
+        kring._antipodes.clear()
+        want = [x * y for x, y in pairs] + [antipode(word(w)) for w in words]
+        monkeypatch.setattr(kring, "_MEMO_TERMS", 50)
+        kring._pairs.clear()
+        kring._antipodes.clear()
+        assert [x * y for x, y in pairs] + [antipode(word(w)) for w in words] == want
+
+    def test_antipode_computes_each_pair_once(self):
+        kring._pairs.clear()
+        kring._antipodes.clear()
+        before = kring._tensor_basis.cache_info()
+        antipode(word("b" * 60))
+        after = kring._tensor_basis.cache_info()
+        assert after.misses - before.misses == after.currsize == 31 ** 2
+        assert kring._antipode_word.cache_info().currsize == 1
 
     def test_product_is_the_same_run_either_way(self):
         # the memo answers a swapped pair from one entry; emptied, each order runs its own programme
