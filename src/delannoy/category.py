@@ -15,10 +15,10 @@ factor, axis 2 = the shared middle, axis 3 = input of the second), and 0
 otherwise.  The same coefficients arise by multiplying the kernels under
 Euler-characteristic integration; compose_oracle computes them that way, and
 the two routes are checked against each other in the test suite.  That route
-pairs kernel slices as raw cells, not as SchwartzFn objects, over slot layouts
-read from paths: the result path's, or the path of an output cell.  The cells
-of a target, their paths and layouts depend on the target alone, so they are
-read from one bounded table (`_cells`) built once per target.
+reads the meet sign (`euler._meet_sign`) of kernel slices as raw cells, not
+as SchwartzFn objects, over the slot layout of the result path or of an
+output cell.  The cells of a target, their paths and layouts depend on the
+target alone, so they are read from one bounded table (`_cells`).
 
 `compose` works on whole morphisms.  Each operand becomes a suffix graph: a
 node is (the coefficient of a path that ends there, or None; its sorted
@@ -70,9 +70,10 @@ from .errors import InvariantError
 from .euler import (
     SchwartzFn,
     Signature,
+    _common_spans,
     _key_slots,
-    _pair_spans,
-    _slot_spans,
+    _meet_sign,
+    _pairings,
     indicator_of_cell,
     iter_signatures,
 )
@@ -346,18 +347,13 @@ def _slice_signature(p: Path, axis: int) -> Signature:
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 (output side) or 2 (input side)")
-    fixed_idx = 0 if axis == 1 else 1
-    j = 0
+    fixed, free = axis - 1, 2 - axis
+    gap = 0  # the slot of the current gap: twice the breakpoints pinned so far
     sig: list[int] = []
     for s in p.steps:
-        fixed, free = s[fixed_idx], s[1 - fixed_idx]
-        if fixed and free:
-            sig.append(2 * j + 1)
-            j += 1
-        elif fixed:
-            j += 1
-        else:
-            sig.append(2 * j)
+        if s[free]:
+            sig.append(gap + s[fixed])
+        gap += 2 * s[fixed]
     return tuple(sig)
 
 
@@ -385,28 +381,19 @@ def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
     (n, m).
     """
     steps: list[Step] = []
-    i = 0
     for slot in range(2 * num_breakpoints + 1):
-        if slot % 2 == 1:
-            if i < len(sig) and sig[i] == slot:
-                steps.append((1, 1))
-                i += 1
-            else:
-                steps.append((0, 1))
-        else:
-            while i < len(sig) and sig[i] == slot:
-                steps.append((1, 0))
-                i += 1
+        if slot % 2:  # a breakpoint, shared with a coordinate or alone
+            steps.append((1, 1) if slot in sig else (0, 1))
+        else:  # the coordinates in a gap
+            steps += [(1, 0)] * sig.count(slot)
     return _trusted_path(2, tuple(steps))
 
 
 def _layout(p: Path) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The slot spans of p's axis-0 points and of its axis-1 points over the
-    canonical representative of O_p, whose k-th step is slot 2k - 1."""
-    steps = p.steps
-    top = 2 * len(steps)
-    return (tuple(_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[0]], top)),
-            tuple(_slot_spans([2 * k + 1 for k, s in enumerate(steps) if s[1]], top)))
+    canonical representative of O_p, whose k-th step is the point k."""
+    axis0, axis1 = ([k for k, s in enumerate(p.steps) if s[axis]] for axis in (0, 1))
+    return tuple(map(tuple, _common_spans(axis0, axis1)))
 
 
 # Targets whose cell table `_cells` keeps.  A table holds D(n, m) cells: one of
@@ -437,8 +424,8 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
 
     The product kernel is constant on each orbit, so its coefficient on a
     basis path p3 is read off at the canonical representative (z, x) of O_p3:
-    pair the slice y -> A_p1(z, y) against the slice y -> A_p2(y, x), each
-    one cell over the layout of p3, read from the cell table of (n, l).
+    the meet sign of the slice y -> A_p1(z, y) and the slice y -> A_p2(y, x),
+    each one cell over the layout of p3, read from the cell table of (n, l).
     """
     n, m1 = p1.target
     m2, l = p2.target
@@ -447,7 +434,7 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     sig1, sig2 = _slice_signature(p1, 1), _slice_signature(p2, 2)
     coeffs: dict[Path, int | Fraction] = {}
     for _, p3, spans_z, spans_x in _cells(n, l):
-        c = _pair_spans([([spans_z[s] for s in sig1], 1)], [([spans_x[t] for t in sig2], 1)])
+        c = _meet_sign(spans_z, sig1, spans_x, sig2)
         if c:  # only nonzero ints, so that `_trusted` adopts the dict
             coeffs[p3] = c
     return Morphism._trusted(n, l, coeffs)
@@ -460,13 +447,10 @@ def _slice_pairings(paths: Sequence[Path], cells: Iterable[tuple],
     the cell.
 
     Only the order of x among the breakpoints matters: the cell's path.  Its
-    layout comes from the table, and phi's spans are read once per output
-    cell, for all paths.
+    layout comes from the table.
     """
     sigs = [_slice_signature(p, 1) for p in paths]
-    for _, _, spans_x, spans_phi in cells:
-        right = [([spans_phi[t] for t in b], d) for b, d in phi.coeffs.items()]
-        yield [_pair_spans([([spans_x[s] for s in ps], 1)], right) for ps in sigs]
+    return _pairings(((spans_x, spans_phi) for _, _, spans_x, spans_phi in cells), sigs, phi.coeffs)
 
 
 def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
@@ -544,11 +528,11 @@ def _key_rows(word: str, cells: Sequence[tuple]) -> list[dict[int, int]]:
     for _, _, spans_x, spans_psi in cells:
         factors = []
         for a, b in letters:  # a < b: a slot outside [lo, hi] meets neither
-            right = [([spans_psi[a]], 1), ([spans_psi[b]], 1)]
             lo, hi = spans_psi[a][0], spans_psi[b][1]
             factors.append([(s, v) for s, span in enumerate(spans_x)
                             if span[0] <= hi and lo <= span[1]
-                            and (v := _pair_spans([([span], 1)], right))])
+                            and (v := _meet_sign(spans_x, (s,), spans_psi, (a,))
+                                 + _meet_sign(spans_x, (s,), spans_psi, (b,)))])
         row = {}
         for combo in product(*factors):
             j = column.get(tuple(s for s, _ in combo))

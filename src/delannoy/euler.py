@@ -23,7 +23,10 @@ breakpoint set.
 The pairing does not refine: pair(f, g) = sum of f_a * g_b * prod_i
 sign(a_i, b_i) over cells a of f and b of g, where the sign of two slots is
 0 if they do not meet, +1 if they meet in a point and -1 if they meet in an
-open interval.  Integer coefficients give an integer sum.
+open interval.  One kernel, `_meet_sign`, reads that product off the slots'
+spans over a common refinement; `pair` and the kernel pairings of `category`
+all call it.  Nor does refinement search: distinct cells have disjoint images
+(products of per-slot expansions), so `refine` writes each fine cell once.
 
 Indicators are written down cell by cell, with no search over the cells: a
 word of length n has the 2^n cells that pick, per letter, one of its two
@@ -35,9 +38,10 @@ factor.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import mul
 
 from .linear import (Combination, Frozen, _arity, frac_str, json_field, json_int, linear_map,
                      number, parse_frac)
@@ -54,27 +58,34 @@ def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[int | Fraction,
 
 
 def iter_signatures(arity: int, num_breakpoints: int) -> Iterator[Signature]:
-    """All cell signatures of the given arity over 2*num_breakpoints+1 slots."""
-    return _iter_over_slots(tuple(range(2 * _arity(num_breakpoints) + 1)), _arity(arity))
+    """All D(arity, num_breakpoints) cell signatures over 2*num_breakpoints+1
+    slots, in lexicographic order, one at a time."""
+    return _iter_over_slots(2 * _arity(num_breakpoints), _arity(arity))
 
 
-def _iter_over_slots(slots: tuple[int, ...], count: int) -> Iterator[Signature]:
-    """Weakly increasing count-tuples from an ordered slot list, points unrepeated."""
-    if count == 0:
-        yield ()
-        return
-
-    def rec(start: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            yield ()
+def _iter_over_slots(top: int, count: int) -> Iterator[Signature]:
+    """The signatures of count coordinates over the slots 0..top (top even), in
+    lexicographic order.  Each is the last one with its rightmost slot below
+    top raised by one, and every later slot the least that may follow it."""
+    sig = [0] * count
+    while True:
+        yield tuple(sig)
+        i = count - 1
+        while i >= 0 and sig[i] == top:
+            i -= 1
+        if i < 0:
             return
-        for i in range(start, len(slots)):
-            s = slots[i]
-            nxt = i + 1 if s % 2 == 1 else i
-            for rest in rec(nxt, k - 1):
-                yield (s,) + rest
+        s = sig[i] + 1
+        sig[i:] = [s] + [s + s % 2] * (count - 1 - i)
 
-    yield from rec(0, count)
+
+def _slot_runs(lo: int, hi: int, count: int) -> list[Signature]:
+    """`iter_signatures` over the slots lo..hi only, as a list built level by
+    level: the expansion of one coarse slot in `refine`."""
+    runs = [()]
+    for _ in range(count):
+        runs = [r + (s,) for r in runs for s in range(r[-1] + r[-1] % 2 if r else lo, hi + 1)]
+    return runs
 
 
 def cell_volume(sig: Signature) -> int:
@@ -234,39 +245,27 @@ def integrate(f: SchwartzFn) -> int | Fraction:
     return number(sum(c * cell_volume(sig) for sig, c in f.coeffs.items()))
 
 
-def _merge_points(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
-    """The point slots of p's and of q's breakpoints over the union of both,
-    and the union's top slot; a merge by comparison, hashing no breakpoint."""
-    slots_p: list[int] = []
-    slots_q: list[int] = []
-    i = j = 0
-    slot = 1
-    while i < len(p) and j < len(q):
-        a, b = p[i], q[j]
-        if not b < a:
-            slots_p.append(slot)
-            i += 1
-        if not a < b:
-            slots_q.append(slot)
-            j += 1
+def _common_spans(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[list, list]:
+    """For each slot over p, and over q, the range [lo, hi] of slots over the
+    union of p and q that it covers (one odd slot for a point, a run with
+    even ends for a gap), by one merge by comparison, hashing no breakpoint."""
+    spans_p: list[tuple[int, int]] = []
+    spans_q: list[tuple[int, int]] = []
+    lo_p = lo_q = i = j = 0
+    slot = 1  # the slot of the next point of the union
+    while i < len(p) or j < len(q):
+        a = p[i] if i < len(p) else None
+        b = q[j] if j < len(q) else None
+        if b is None or a is not None and not b < a:
+            spans_p += [(lo_p, slot - 1), (slot, slot)]
+            lo_p, i = slot + 1, i + 1
+        if a is None or b is not None and not a < b:
+            spans_q += [(lo_q, slot - 1), (slot, slot)]
+            lo_q, j = slot + 1, j + 1
         slot += 2
-    for rest, slots in ((len(p) - i, slots_p), (len(q) - j, slots_q)):
-        slots.extend(range(slot, slot + 2 * rest, 2))
-        slot += 2 * rest
-    return slots_p, slots_q, slot - 1
-
-
-def _slot_spans(points: list[int], top: int) -> list[tuple[int, int]]:
-    """For each slot over some breakpoints, the range [lo, hi] of slots over a
-    finer set that it covers, given the breakpoints' point slots over the
-    finer set and its top slot."""
-    spans = []
-    lo = 0
-    for p in points:
-        spans += [(lo, p - 1), (p, p)]
-        lo = p + 1
-    spans.append((lo, top))
-    return spans
+    spans_p.append((lo_p, slot - 1))
+    spans_q.append((lo_q, slot - 1))
+    return spans_p, spans_q
 
 
 def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
@@ -274,29 +273,28 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
 
     A gap slot splits into the alternating run gap/point/gap/... of new slots
     it contains; coordinates sharing a gap redistribute over the run in all
-    weakly increasing ways.  Each (slot, group size) is expanded once per
-    call, into a table that every cell reads.
+    weakly increasing ways.  A cell's image is the product of the expansions
+    of its (slot, group size) pairs, each built once per call; images of
+    distinct cells are disjoint, so each fine cell is written once.
     """
     fine = _check_breakpoints(finer)
     if fine == f.breakpoints:
         return f
-    points, _, top = _merge_points(f.breakpoints, fine)
-    if top != 2 * len(fine):
+    spans, _ = _common_spans(f.breakpoints, fine)
+    if spans[-1][1] != 2 * len(fine):  # the union's top slot
         raise ValueError("refinement must contain the original breakpoints")
-    expansion = [tuple(range(lo, hi + 1)) for lo, hi in _slot_spans(points, top)]
-    groups: dict[tuple[int, int], tuple[Signature, ...]] = {}  # (slot, group size) -> images
-
-    def image(sig: Signature) -> list[tuple[Signature, int]]:
-        out = [()]
+    table: dict[tuple[int, int], list[Signature]] = {}  # (slot, group size) -> its expansion
+    coeffs: dict[Signature, int | Fraction] = {}
+    for sig, c in f.coeffs.items():
+        image = [()]
         for s in dict.fromkeys(sig):
             key = (s, sig.count(s))
-            parts = groups.get(key)
+            parts = table.get(key)
             if parts is None:
-                parts = groups[key] = tuple(_iter_over_slots(expansion[s], key[1]))
-            out = [head + part for head in out for part in parts]
-        return [(t, 1) for t in out]
-
-    return linear_map(SchwartzFn, (f.arity, fine), image, f)
+                parts = table[key] = _slot_runs(*spans[s], key[1])
+            image = [head + part for head in image for part in parts]
+        coeffs.update(zip(image, repeat(c)))
+    return SchwartzFn._trusted(f.arity, fine, coeffs)
 
 
 def multiply(f: SchwartzFn, g: SchwartzFn) -> SchwartzFn:
@@ -318,40 +316,58 @@ def pair(f: SchwartzFn, g: SchwartzFn) -> int | Fraction:
     the meet of the slots a_i and b_i.  Coordinates whose slot pairs differ
     lie in disjoint intervals, already in order; coordinates sharing a slot
     pair share one open interval.  So the meet of the cells is a product of
-    points and open simplices, with Euler characteristic prod_i sign(a_i, b_i)
-    (see the module docstring).  Over the union of the breakpoints a point
-    slot spans one odd slot and a gap slot a range with even ends, so the
-    meet of the two spans gives the sign.
+    points and open simplices, with Euler characteristic `_meet_sign`.
     """
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
-    points_f, points_g, top = _merge_points(f.breakpoints, g.breakpoints)
-    spans_f, spans_g = _slot_spans(points_f, top), _slot_spans(points_g, top)
-    left = (([spans_f[s] for s in a], c) for a, c in f.coeffs.items())
-    right = [([spans_g[t] for t in b], d) for b, d in g.coeffs.items()]
-    return number(_pair_spans(left, right))
+    (pairings,) = _pairings((_common_spans(f.breakpoints, g.breakpoints),), f.coeffs, g.coeffs)
+    return number(sum(map(mul, f.coeffs.values(), pairings)))
 
 
-def _pair_spans(left: Iterable[tuple[list, int | Fraction]],
-                right: list[tuple[list, int | Fraction]]) -> int | Fraction:
-    """The pairing of two sets of cells, each given as the spans of its slots
-    over one common set of breakpoints, with its coefficient."""
-    total = 0
-    for a, c in left:
-        for b, d in right:
-            sign = 1
-            for (lo, hi), (lo2, hi2) in zip(a, b):
-                if lo2 > lo:
-                    lo = lo2
-                if hi2 < hi:
-                    hi = hi2
-                if lo > hi:  # the slots do not meet
-                    break
-                if lo < hi or not lo % 2:  # an open interval
-                    sign = -sign
-            else:
-                total += sign * c * d
-    return total
+def _meet_sign(spans_a: Sequence[tuple[int, int]], slots_a: Signature,
+               spans_b: Sequence[tuple[int, int]], slots_b: Signature) -> int:
+    """prod_i sign(slots_a[i], slots_b[i]), read off the slots' spans over a
+    common refinement (see the module docstring); 0 as soon as one
+    coordinate's spans do not meet.  Only the first min(len(slots_a),
+    len(slots_b)) coordinates are read."""
+    sign = 1
+    for s, t in zip(slots_a, slots_b):
+        lo, hi = spans_a[s]
+        lo2, hi2 = spans_b[t]
+        if lo2 > lo:
+            lo = lo2
+        if hi2 < hi:
+            hi = hi2
+        if lo > hi:  # the slots do not meet
+            return 0
+        if lo < hi or not lo % 2:  # an open interval
+            sign = -sign
+    return sign
+
+
+def _pairings(layouts: Iterable[tuple], cells_a: Collection[Signature],
+              coeffs_b: Mapping[Signature, int | Fraction]) -> Iterator[list[int | Fraction]]:
+    """For each layout (spans_a, spans_b), the pairings of the cells of
+    cells_a, each with coefficient 1, with coeffs_b.  Only the groups of
+    coeffs_b's cells whose first slot meets a cell's first slot are read."""
+    groups: dict[Signature, list] = {}
+    for b, d in coeffs_b.items():
+        groups.setdefault(b[:1], []).append((b, d))
+    for spans_a, spans_b in layouts:
+        meets: dict[Signature, list] = {}  # first slot of a cell of cells_a -> terms it can meet
+        out = []
+        for a in cells_a:
+            terms = meets.get(a[:1])
+            if terms is None:
+                terms = meets[a[:1]] = [term for head, group in groups.items()
+                                        if _meet_sign(spans_a, a, spans_b, head) for term in group]
+            total = 0
+            for b, d in terms:
+                sign = _meet_sign(spans_a, a, spans_b, b)
+                if sign:
+                    total += sign * d
+            out.append(total)
+        yield out
 
 
 def pushforward_coordinate(f: SchwartzFn, i: int) -> SchwartzFn:

@@ -5,7 +5,7 @@ and Schwartz functions are all vector spaces with a fixed basis (paths, weight
 words, pairs of words, cells).  `Combination` holds the arithmetic they share;
 a subclass supplies its space, its key check, its canonical term order and
 its JSON shape.  A rule on basis keys (a ring product, the antipode, the
-refinement of a cell) acts on combinations through `linear_map` or
+pushforward of a cell) acts on combinations through `linear_map` or
 `bilinear_map`.
 
 One number rule holds for every coefficient, breakpoint and scalar result

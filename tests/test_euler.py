@@ -1,6 +1,8 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from delannoy.euler import (
     HalfOpenInterval,
     SchwartzFn,
+    _slot_runs,
     cell_representative,
     cell_volume,
     integrate,
@@ -132,6 +135,78 @@ class TestRefineTable:
             assert got.breakpoints == tuple(fine) and got.coeffs == want
             grouped += any(a == b and a % 2 == 0 for sig in f.coeffs for a, b in zip(sig, sig[1:]))
         assert grouped >= 15  # most functions have a gap holding two coordinates or more
+
+
+def runs_reference(slots, k):
+    """Weakly increasing k-tuples of the slots in which no odd (point) slot repeats."""
+    return [sig for sig in combinations_with_replacement(slots, k)
+            if all(sig.count(s) == 1 for s in sig if s % 2)]
+
+
+class TestSlotRuns:
+    """`refine` expands a coarse slot through `_slot_runs`; `iter_signatures` stays lazy."""
+
+    def test_runs_match_filtered_combinations(self):
+        for lo in (0, 1, 2, 3):
+            for length in range(1, 10):
+                hi = lo + length - 1
+                for k in range(5):
+                    assert _slot_runs(lo, hi, k) == runs_reference(range(lo, hi + 1), k)
+
+    def test_signatures_are_the_runs_from_slot_zero(self):
+        for arity in range(5):
+            for m in range(4):
+                assert list(iter_signatures(arity, m)) == _slot_runs(0, 2 * m, arity)
+
+    def test_signatures_are_yielded_one_at_a_time(self):
+        # D(40, 40) has 31 digits: only a lazy iterator can hand out the first few
+        sigs = iter_signatures(40, 40)
+        assert iter(sigs) is sigs
+        assert list(islice(sigs, 3)) == [(0,) * 40, (0,) * 39 + (1,), (0,) * 39 + (2,)]
+
+    def test_long_signatures_need_no_recursion(self):
+        # a recursive generator raised RecursionError past about 1000 coordinates
+        assert list(iter_signatures(1200, 0)) == [(0,) * 1200]
+        assert len(list(iter_signatures(1200, 1))) == 2 * 1200 + 1
+        f = SchwartzFn(1200, (0,), {(0,) * 1199 + (2,): 3})
+        got = refine(f, (0, 1))
+        assert got.coeffs == {(0,) * 1199 + (s,): 3 for s in (2, 3, 4)}
+
+
+def image_size(coarse, fine, sig):
+    """The number of fine cells in the image of a coarse cell, counted in closed
+    form: k coordinates in a coarse gap holding p fine breakpoints take j of
+    the p points and a multiset of k - j of the p + 1 fine gaps."""
+    size = 1
+    for s in set(sig):
+        if s % 2:
+            continue  # a point holds one coordinate and stays one point
+        k, i = sig.count(s), s // 2
+        p = sum(1 for x in fine if (i == 0 or coarse[i - 1] < x)
+                and (i == len(coarse) or x < coarse[i]))
+        size *= sum(comb(p, j) * comb(p + k - j, k - j) for j in range(min(p, k) + 1))
+    return size
+
+
+class TestRefineDisjoint:
+    """Distinct coarse cells have disjoint images, so no fine cell is written twice."""
+
+    def test_fine_cells_are_the_sum_of_the_images(self):
+        rng = random.Random(25)
+        pool = sorted({F(x) for x in range(-6, 7)} | {F(x, 3) for x in range(-17, 18, 2)})
+        expanded = 0
+        for _ in range(200):
+            arity = rng.randint(0, 4)
+            bp = sorted(rng.sample(pool, rng.randint(0, 3)))
+            sigs = list(iter_signatures(arity, len(bp)))
+            f = SchwartzFn(arity, bp, {sig: rng.choice([-2, 1, 3, F(2, 3)])
+                                       for sig in rng.sample(sigs, min(len(sigs), 10))})
+            fine = sorted(set(bp) | set(rng.sample(pool, rng.randint(1, 4))))
+            got = refine(f, fine)
+            assert len(got.coeffs) == sum(image_size(f.breakpoints, got.breakpoints, sig)
+                                          for sig in f.coeffs)
+            expanded += len(got.coeffs) > len(f.coeffs)
+        assert expanded >= 150
 
 
 class TestPairing:

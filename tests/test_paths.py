@@ -283,6 +283,28 @@ def assert_same_as_checked(trusted):
         assert (a < b) == (c < d) and (b < a) == (d < c) and (a == b) == (c == d)
 
 
+def summed_target(p):
+    """The target as the coordinate sums of the steps, for any dimension."""
+    return tuple(map(sum, zip(*p.steps))) if p.steps else (0,) * p.dim
+
+
+class TestTarget:
+    """A 2-D `Path.target` counts the lone steps; every other dimension sums."""
+
+    def test_counting_matches_the_sums_in_two_dimensions(self):
+        for target in itertools.product(range(5), repeat=2):
+            for p in enumerate_paths(target):
+                assert p.target == summed_target(p) == target
+                assert type(p.target[0]) is int and type(p.target[1]) is int
+        empty = Path(2, ())
+        assert empty.target == summed_target(empty) == (0, 0)
+
+    def test_other_dimensions_keep_the_sums(self):
+        for target in [(0, 0, 0), (1, 2, 1), (2, 2, 2), (3,), (0,)]:
+            for p in enumerate_paths(target):
+                assert p.target == summed_target(p) == target
+
+
 class TestTrustedConstruction:
     def test_empty_paths(self):
         for dim in (0, 2, 3):
