@@ -32,14 +32,13 @@ paths never share a projection, which `paths._check_moves` verifies on the
 table at import.  So each summand is c1 * c2 * eps(p1, p2, p3), and the row
 of the two roots is the composition.  Both the graph build and the row
 recursion keep their own stacks.  Rows are memoised across calls by node pair, as immutable tuples,
-and results by pair of roots, as the read-only coefficient mapping that
-`compose` hands out: a repeated composition returns a new `Morphism` shell
-over that mapping, with the operands' arities, since the zero morphisms of
-every arity share one root.  A memoised result maps back to the root of its
-own suffix graph once that is built, so composing it again does not build
-its key again.  Past `_ROWS_LIMIT` pairs (or nodes) both memos and the
-interning tables are cleared together at the start of the next call, since
-the ids in one index the others.
+and results by pair of roots and the result's arities (the zero morphisms of
+every arity share one root), as the `Morphism` that `compose` built: it is
+immutable, so a repeated composition returns that same object.  A memoised
+result maps back to the root of its own suffix graph once that is built, so
+composing it again does not build its key again.  Past `_ROWS_LIMIT` rows,
+nodes or results, both memos and the interning tables are cleared together
+at the start of the next call, since the ids in one index the others.
 
 Orientation conventions (fixed here once, verified by the oracle tests):
 
@@ -98,12 +97,13 @@ def epsilon(p1: Path, p2: Path, p3: Path) -> int:
 
 # Node pairs the row memo of `compose` keeps between calls.  A path-compose
 # benchmark round fills about 5 700, `export --table composition --n 4 --m 3`
-# 58 500.  Past this bound (or as many nodes), every table of the engine is
-# cleared at the start of the next call, not entry by entry as `kring._Memo`
-# does: the ids index one another, and `row` reads child rows mid-call.  The
-# result memo goes too; it holds one mapping per pair of roots composed, and
-# each such pair has a row, so this bound holds it too.  Twice this bound adds
-# about 50 MiB to the peak of `delannoy verify all`.
+# 58 500.  Past this bound (or as many nodes or results), every table of the
+# engine is cleared at the start of the next call, not entry by entry as
+# `kring._Memo` does: the ids index one another, and `row` reads child rows
+# mid-call.  The result memo holds one `Morphism` per pair of roots and
+# arities composed; the zero morphisms of every arity share one root, so it
+# can hold more entries than the rows.  Twice this bound adds about 50 MiB to
+# the peak of `delannoy verify all`.
 _ROWS_LIMIT = 1 << 16
 
 
@@ -129,8 +129,8 @@ class _Engine:
         self.suffixes: list = [None]    # suffix id -> (step, id of the rest)
         self.paths: dict = {}           # suffix id -> its decoded Path
         self.rows: dict = {}            # (node id, node id) -> ((suffix id, coeff), ...)
-        self.results: dict = {}         # (root, root) -> the read-only coeffs of their composition
-        self.owners: dict = {}          # id of a mapping in results -> its own root, once built
+        self.results: dict = {}         # (root, root, out arity, in arity) -> their composition
+        self.owners: dict = {}          # id of a Morphism in results -> its own root, once built
 
     def node(self, end, edges: list) -> int:
         key = (end, tuple(edges))
@@ -143,10 +143,10 @@ class _Engine:
     def graph(self, f: "Morphism") -> int:
         """The root of f's suffix graph: its paths, merged where suffixes agree.
 
-        A memoised result finds its root by the identity of its mapping, which
-        `results` keeps alive, once its key has been built.
+        A memoised result finds its root by its identity, which `results`
+        keeps alive, once its key has been built.
         """
-        owner = id(f.coeffs)
+        owner = id(f)
         root = self.owners.get(owner)
         if root is None:
             # every path of f has dimension 2, so its steps stand for it, hashed as a tuple
@@ -318,18 +318,16 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         )
     engine = _ENGINE
     with engine.lock:
-        if len(engine.rows) > _ROWS_LIMIT or len(engine.nodes) > _ROWS_LIMIT:
+        if max(len(engine.rows), len(engine.nodes), len(engine.results)) > _ROWS_LIMIT:
             engine.clear()
         pair = (engine.graph(f), engine.graph(g))
-        coeffs = engine.results.get(pair)
-        if coeffs is None:
-            result = Morphism._trusted(f.out_arity, g.in_arity,
-                                       {engine.path(s): c for s, c in engine.row(pair)})
-            engine.results[pair] = result.coeffs
-            engine.owners[id(result.coeffs)] = None
-            return result
-    # the arities come from the operands: the zero morphisms of every arity share one root
-    return Morphism._sharing(f.out_arity, g.in_arity, coeffs)
+        key = (*pair, f.out_arity, g.in_arity)
+        result = engine.results.get(key)
+        if result is None:
+            result = engine.results[key] = Morphism._trusted(
+                f.out_arity, g.in_arity, {engine.path(s): c for s, c in engine.row(pair)})
+            engine.owners[id(result)] = None
+        return result
 
 
 def identity(n: int) -> Morphism:

@@ -156,29 +156,21 @@ class Combination(Frozen):
     def _trusted(cls, *args):
         """`cls(*args)` for results whose space and keys are already valid.
 
-        The space arguments and the keys are stored unchecked, so only for keys
-        made in that space.  It takes ownership of its dict, which no one else
-        may hold: when every value is a nonzero `int`, the dict itself becomes
-        `coeffs`, with no key inserted or hashed again.  Otherwise the number
-        rule is applied (a sum of Fractions can be integral) and zero terms
-        are dropped.
+        The object is built without `__init__`, its space and keys stored
+        unchecked, so only for keys made in that space.  It takes ownership
+        of its dict, which no one else may hold: when every value is a nonzero
+        `int`, the dict itself becomes `coeffs`, with no key inserted or hashed
+        again.  Otherwise the number rule is applied (a sum of Fractions can
+        be integral) and zero terms are dropped.
         """
         *space, coeffs = args
         values = coeffs.values()
         if not (_INT.issuperset(map(type, values)) and 0 not in values):
             coeffs = {k: c for k, c in zip(coeffs, map(number, values)) if c}
-        return cls._sharing(*space, MappingProxyType(coeffs))
-
-    @classmethod
-    def _sharing(cls, *args):
-        """`cls(*args)` over the read-only `coeffs` mapping of an earlier
-        `_trusted` result, shared rather than copied: only for a mapping
-        whose keys belong to this space."""
-        *space, coeffs = args
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, space):
             getattr(cls, name).__set__(self, value)
-        _set_coeffs(self, coeffs)
+        _set_coeffs(self, MappingProxyType(coeffs))
         return self
 
     def __reduce__(self):

@@ -117,11 +117,7 @@ def _trusted_path(dim: int, steps: tuple[Step, ...]) -> Path:
 
 def _nonzero_steps(dim: int) -> list[Step]:
     """All 2^dim - 1 nonzero 0-1 vectors, in lexicographic order."""
-    out = []
-    for mask in range(1, 1 << dim):
-        out.append(tuple((mask >> (dim - 1 - i)) & 1 for i in range(dim)))
-    out.sort()
-    return out
+    return [s for s in itertools.product((0, 1), repeat=dim) if any(s)]
 
 
 # The valid steps of each dimension up to 4, which `Path` tests its steps against at once
@@ -193,23 +189,21 @@ def _enumerate_paths(target: tuple[int, ...]) -> tuple[Path, ...]:
 
 # The tracer and the tests read the search's cache through the public name.
 enumerate_paths.cache_info = _enumerate_paths.cache_info
-enumerate_paths.cache_clear = _enumerate_paths.cache_clear
 
 
-@lru_cache(maxsize=None, typed=True)  # so that 2.0 misses the entry of 2, and is refused
 def delannoy_number(n: int, m: int) -> int:
-    """D(n, m) via the recurrence D(n,m) = D(n-1,m) + D(n,m-1) + D(n-1,m-1)."""
+    """D(n, m) = sum over k of C(n, k) * C(m, k) * 2^k, each term exactly the last
+    times (n-k) * (m-k) * 2 / (k+1)^2; suite 01 checks it against the recurrence."""
     if not (hasattr(n, "__index__") and hasattr(m, "__index__")):
         raise ValueError(f"arguments must be integers, got {n!r}, {m!r}")
+    n, m = index(n), index(m)
     if n < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
-    row = [1] * (m + 1)
-    for _ in range(n):
-        prev = row
-        row = [1] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = row[j - 1] + prev[j] + prev[j - 1]
-    return row[m]
+    term = total = 1
+    for k in range(min(n, m)):
+        term = term * (n - k) * (m - k) * 2 // (k + 1) ** 2
+        total += term
+    return total
 
 
 def project_path(p: Path, axes: Sequence[int]) -> Path:
@@ -230,7 +224,7 @@ def project_path(p: Path, axes: Sequence[int]) -> Path:
 # Lift moves as (p12 step, p23 step, p13 step): the seven nonzero 3-bit steps
 # (a, b, c), each consuming (a, b) from p12, (b, c) from p23 and emitting (a, c)
 # into p13, with None where that projection is zero.  `category.compose` walks
-# this table, and `lift3` looks moves up in the head table derived from it.
+# this table, and `lift3` looks moves up in `_HEADS`, the head table derived from it.
 _MOVES = tuple(
     tuple((x, y) if x or y else None for x, y in ((a, b), (b, c), (a, c)))
     for a, b, c in itertools.product((0, 1), repeat=3)
@@ -269,19 +263,18 @@ def _check_moves(moves: Sequence[tuple]) -> None:
 
 
 _check_moves(_MOVES)
-_HEADS = (_MOVES, _head_table(_MOVES))  # the move table, and its head table derived once
+_HEADS = _head_table(_MOVES)
 
 
 def lift3(p12: Path, p23: Path, p13: Path) -> Path | None:
     """The unique 3-dimensional path projecting to (p12, p23, p13), or None.
 
-    Walks the three paths at once.  At each step it looks up, in the head
-    table of `_MOVES`, the moves that apply at the heads of p12, p23 and
-    p13: the move that emits the head of p13, or the move that emits
-    nothing.  The table is derived once, and again whenever `_MOVES` has
-    been replaced.  `_check_moves` guarantees that at most one move applies;
-    uniqueness always holds, but two matching moves raise InvariantError
-    rather than being assumed away.
+    Walks the three paths at once.  At each step it looks up, in `_HEADS`,
+    the head table of `_MOVES` derived at import, the moves that apply at
+    the heads of p12, p23 and p13: the move that emits the head of p13, or
+    the move that emits nothing.  `_check_moves` guarantees that at most one
+    move applies; uniqueness always holds, but two matching moves raise
+    InvariantError rather than being assumed away.
     """
     if p12.dim != 2 or p23.dim != 2 or p13.dim != 2:
         raise ValueError("lift3 expects 2-dimensional paths")
@@ -292,15 +285,12 @@ def lift3(p12: Path, p23: Path, p13: Path) -> Path | None:
         raise ValueError(
             f"inconsistent targets {p12.target}, {p23.target}, {p13.target}"
         )
-    moves, table = _HEADS
-    if moves is not _MOVES:
-        table = _head_table(_MOVES)
     # Each path ends in None, its head once it is used up.
     s12, s23, s13 = p12.steps + (None,), p23.steps + (None,), p13.steps + (None,)
     i = j = k = 0
     steps: list[Step] = []
     while s12[i] or s23[j]:
-        found = table[s12[i], s23[j], s13[k]]
+        found = _HEADS[s12[i], s23[j], s13[k]]
         if not found:
             return None
         if len(found) > 1:
@@ -357,10 +347,7 @@ def check_weight(word: str) -> str:
 
 def all_weights(length: int) -> list[str]:
     """All 2^length weight words of the given length, in lexicographic order."""
-    words = [""]
-    for _ in range(length):
-        words = [w + c for w in words for c in WEIGHT_LETTERS]
-    return sorted(words)
+    return ["".join(w) for w in itertools.product(WEIGHT_LETTERS, repeat=length)]
 
 
 def weights_up_to(length: int) -> list[str]:

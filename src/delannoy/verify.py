@@ -111,6 +111,14 @@ def suite_delannoy_counts(report: VerificationReport, rng: random.Random) -> Non
          for n in range(9)),
     )
 
+    def recurrence():  # D(n, 0) = D(0, m) = 1, D(n, m) = D(n-1, m) + D(n, m-1) + D(n-1, m-1)
+        d = {}
+        for n, m in itertools.product(range(31), repeat=2):
+            d[n, m] = d[n - 1, m] + d[n, m - 1] + d[n - 1, m - 1] if n and m else 1
+            yield (n, m), delannoy_number(n, m), d[n, m]
+
+    report.expect("closed form matches the recurrence for n, m <= 30", recurrence)
+
 
 def suite_oracle_equivalence(report: VerificationReport, rng: random.Random) -> None:
     def cases(pairs):

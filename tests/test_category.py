@@ -161,13 +161,16 @@ class TestComposition:
             engine.clear()
         f, g = projector("bw"), random_morphism(random.Random(3), 2, 1)
         first, again = compose(f, g), compose(projector("bw"), g)
-        assert first == again and first.coeffs is again.coeffs and first is not again
+        # a repeat returns the memoised result itself, over its one read-only mapping
+        assert first is again and first.coeffs is again.coeffs
         with pytest.raises(TypeError):
             again.coeffs[A] = 1
-        # a memoised result composed again finds its root by its mapping
+        with pytest.raises(AttributeError):
+            again.out_arity = 3
+        # a memoised result composed again finds its root by its identity
         h = identity(1)
         assert compose(again, h) == compose(Morphism(2, 1, dict(first.coeffs)), h) == first
-        assert engine.owners[id(first.coeffs)] == engine.graph(Morphism(2, 1, dict(first.coeffs)))
+        assert engine.owners[id(first)] == engine.graph(Morphism(2, 1, dict(first.coeffs)))
 
     def test_zero_results_keep_their_own_arities(self):
         # the zero morphisms of every arity share one root, so a memoised result
@@ -177,6 +180,19 @@ class TestComposition:
             assert compose(Morphism.zero(n, 2), Morphism.zero(2, m)) == Morphism.zero(n, m)
             assert compose(Morphism.zero(n, 1), g) == Morphism.zero(n, 1)
             assert compose(g, Morphism.zero(1, m)) == Morphism.zero(1, m)
+
+    def test_result_memo_of_zeros_clears_past_its_bound(self, monkeypatch):
+        # the zeros of every arity share one root and one row, so only the
+        # result memo, one entry per pair of arities, passes the bound
+        engine = category_module._ENGINE
+        monkeypatch.setattr(category_module, "_ROWS_LIMIT", 5)
+        with engine.lock:
+            engine.clear()
+        sizes = []
+        for n, m in itertools.product(range(6), repeat=2):
+            assert compose(Morphism.zero(n, 2), Morphism.zero(2, m)) == Morphism.zero(n, m)
+            sizes.append((len(engine.rows), len(engine.results)))
+        assert max(sizes) == (1, 6) and sizes.count((1, 1)) > 1
 
     def test_row_memo_clears_past_its_bound(self, monkeypatch):
         words = all_weights(3)
@@ -193,9 +209,9 @@ class TestComposition:
                 assert compose(f, g) == expected
                 sizes.append((before, len(engine.rows)))
                 assert all(type(row) is tuple for row in engine.rows.values())
-                # every memoised result has a row, and maps back by the id of its mapping
-                assert engine.results.keys() <= engine.rows.keys()
-                assert engine.owners.keys() == {id(c) for c in engine.results.values()}
+                # every memoised result has a row, and maps back by its identity
+                assert {key[:2] for key in engine.results} <= engine.rows.keys()
+                assert engine.owners.keys() == {id(m) for m in engine.results.values()}
                 results.append(len(engine.results))
         # the memo passed its bound and was cleared at the start of a later call,
         # the results with the rows

@@ -21,12 +21,12 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def _run_process(*argv):
+def _run_process(*argv, timeout=None):
     # `delannoy <argv>` as its own process, so that the exit code and stderr are the ones a shell sees
     src = os.path.dirname(os.path.dirname(delannoy.__file__))
     return subprocess.run(
         [sys.executable, "-m", "delannoy.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -395,6 +395,25 @@ def test_compose_budget(capsys, route):
     err = capsys.readouterr().err
     assert err == (f"error: the result has 265729 basis paths, more than the "
                    f"{cli.PATHS_LIMIT} that 'compose' takes\n")
+
+
+def test_compose_budget_sizes_long_paths_fast():
+    # [[1,0]]*3000 then [[0,1]]*3000: D(3000, 3000) has 2 295 digits, which the
+    # closed form sizes in milliseconds, so the refusal comes at once
+    argv = ["compose", "--p1", _straight([1, 0], 3000), "--p2", _straight([0, 1], 3000)]
+    proc = _run_process(*argv, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the result has {cli.delannoy_number(3000, 3000)} basis paths, "
+                           f"more than the {cli.PATHS_LIMIT} that 'compose' takes\n")
+
+
+def test_count_of_a_huge_target_ends():
+    # D(20000, 20000) has 15 309 digits: printed in full where the interpreter
+    # allows it, a usage error past its digit limit, never a traceback or a hang
+    proc = _run_process("count", "--n", "20000", "--m", "20000", timeout=60)
+    assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert proc.stdout.startswith("D(20000, 20000) = ")
 
 
 @ROUTES

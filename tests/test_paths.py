@@ -136,6 +136,16 @@ class TestDelannoyNumbers:
     def test_known_large_value(self):
         assert delannoy_number(8, 8) == 265729
 
+    def test_matches_the_recurrence_table(self):
+        # the three-term recurrence, off the diagonal too, where a wrong term
+        # update of the closed form would show
+        table = {}
+        for n, m in itertools.product(range(40), repeat=2):
+            table[n, m] = (table[n - 1, m] + table[n, m - 1] + table[n - 1, m - 1]
+                           if n and m else 1)
+        assert {(n, m): delannoy_number(n, m) for n, m in table} == table
+        assert delannoy_number(39, 1) == 79 and delannoy_number(1, 39) == 79
+
 
 class TestProjection:
     def test_diagonal_projects_to_diagonal(self):
@@ -212,8 +222,8 @@ class TestLift3:
                         )
 
     def test_two_lifts_with_one_projection_raise(self, monkeypatch):
-        # uniqueness is checked, not assumed: a table with every move twice is caught
-        monkeypatch.setattr(paths_module, "_MOVES", paths_module._MOVES * 2)
+        # uniqueness is checked, not assumed: a head table with every move twice is caught
+        monkeypatch.setattr(paths_module, "_HEADS", paths_module._head_table(paths_module._MOVES * 2))
         diag = Path(2, ((1, 1),))
         with pytest.raises(InvariantError):
             lift3(diag, diag, diag)
