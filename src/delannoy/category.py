@@ -17,8 +17,9 @@ Euler-characteristic integration; compose_oracle computes them that way, and
 the two routes are checked against each other in the test suite.  That route
 reads the meet sign (`euler._meet_sign`) of kernel slices as raw cells, not
 as SchwartzFn objects, over the slot layout of the result path or of an
-output cell.  The cells of a target, their paths and layouts depend on the
-target alone, so they are read from one bounded table (`_cells`).
+output cell, read off the path's canonical representative.  The cells of a
+target, their paths and layouts depend on the target alone, so they are read
+from one bounded table (`_cells`).
 
 `compose` works on whole morphisms.  Each operand becomes a suffix graph: a
 node is (the coefficient of a path that ends there, or None; its sorted
@@ -58,7 +59,7 @@ indicators; flipping either convention breaks those tests.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -82,6 +83,7 @@ from .paths import (
     Step,
     _MOVES,
     _trusted_path,
+    canonical_representative,
     check_weight,
     lift3,
 )
@@ -362,13 +364,11 @@ def slice_kernel(p: Path, fixed: Sequence[Fraction], axis: int) -> SchwartzFn:
     x -> A_p(x, fixed).  The result is the indicator of a single cell over
     the fixed tuple as breakpoints.
     """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 (output side) or 2 (input side)")
-    expected = p.target[0 if axis == 1 else 1]
+    sig = _slice_signature(p, axis)
+    expected = p.target[axis - 1]
     if len(fixed) != expected:
         raise ValueError(f"fixed tuple has length {len(fixed)}, axis target is {expected}")
-    free_arity = p.target[1 if axis == 1 else 0]
-    return indicator_of_cell(free_arity, fixed, _slice_signature(p, axis))
+    return indicator_of_cell(len(sig), fixed, sig)
 
 
 def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
@@ -389,9 +389,8 @@ def _cell_to_path(sig: Signature, num_breakpoints: int) -> Path:
 
 def _layout(p: Path) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The slot spans of p's axis-0 points and of its axis-1 points over the
-    canonical representative of O_p, whose k-th step is the point k."""
-    axis0, axis1 = ([k for k, s in enumerate(p.steps) if s[axis]] for axis in (0, 1))
-    return tuple(map(tuple, _common_spans(axis0, axis1)))
+    canonical representative of O_p."""
+    return tuple(map(tuple, _common_spans(*canonical_representative(p))))
 
 
 # Targets whose cell table `_cells` keeps.  A table holds D(n, m) cells: one of
@@ -438,30 +437,20 @@ def compose_oracle(p1: Path, p2: Path) -> Morphism:
     return Morphism._trusted(n, l, coeffs)
 
 
-def _slice_pairings(paths: Sequence[Path], cells: Iterable[tuple],
-                    phi: SchwartzFn) -> Iterator[list]:
-    """For each output cell over phi's breakpoints, an entry of `_cells`, the
-    pairing of every path's slice y -> A_p(x, y) with phi, at a point x of
-    the cell.
-
-    Only the order of x among the breakpoints matters: the cell's path.  Its
-    layout comes from the table.
-    """
-    sigs = [_slice_signature(p, 1) for p in paths]
-    return _pairings(((spans_x, spans_phi) for _, _, spans_x, spans_phi in cells), sigs, phi.coeffs)
-
-
 def apply_kernel(f: Morphism, phi: SchwartzFn) -> SchwartzFn:
     """Act on a function: (A phi)(x) = integral of A(x, y) phi(y) over y.
 
-    The result is constant on cells over phi's breakpoints; it is evaluated
-    once per output cell, through the cell's layout in the cell table.
+    The result is constant on cells over phi's breakpoints, since only the
+    order of x among them matters: the cell's path.  Each output cell pairs
+    every slice y -> A_p(x, y) with phi once, through its layout in the table.
     """
     if f.in_arity != phi.arity:
         raise ValueError(f"kernel expects arity {f.in_arity}, function has {phi.arity}")
     cells = _cells(f.out_arity, len(phi.breakpoints))
+    layouts = ((spans_x, spans_phi) for _, _, spans_x, spans_phi in cells)
+    pairings = _pairings(layouts, [_slice_signature(p, 1) for p in f.coeffs], phi.coeffs)
     coeffs: dict[Signature, int | Fraction] = {}
-    for (sig, *_), values in zip(cells, _slice_pairings(list(f.coeffs), cells, phi)):
+    for (sig, *_), values in zip(cells, pairings):
         val = sum(map(mul, f.coeffs.values(), values))
         if val:
             coeffs[sig] = val

@@ -137,7 +137,7 @@ def cmd_paths(args) -> int:
 def _parse_path(text: str) -> Path:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per bracket
         raise ValueError(f"invalid path JSON: {exc}")
     if isinstance(data, list):
         data = {"d": 2, "steps": data}
@@ -169,7 +169,10 @@ def cmd_projector(args) -> int:
 
 def cmd_trace(args) -> int:
     if args.morphism is not None:
-        m = Morphism.loads(args.morphism)
+        try:
+            m = Morphism.loads(args.morphism)
+        except RecursionError as exc:  # brackets nested past the decoder's recursion limit
+            raise ValueError(f"invalid morphism JSON: {exc}") from None
     else:
         _check_word_length(args.word, PROJECTOR_WORD_LIMIT, "trace --word")
         m = category.projector(args.word)

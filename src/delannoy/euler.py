@@ -27,6 +27,8 @@ open interval.  One kernel, `_meet_sign`, reads that product off the slots'
 spans over a common refinement; `pair` and the kernel pairings of `category`
 all call it.  Nor does refinement search: distinct cells have disjoint images
 (products of per-slot expansions), so `refine` writes each fine cell once.
+One lazy odometer, `_slot_runs`, lists the cells for `iter_signatures` and
+the per-slot expansions for `refine`, at O(1) amortised per slot of output.
 
 Indicators are written down cell by cell, with no search over the cells: a
 word of length n has the 2^n cells that pick, per letter, one of its two
@@ -59,33 +61,29 @@ def _check_breakpoints(breakpoints: Sequence[Fraction]) -> tuple[int | Fraction,
 
 def iter_signatures(arity: int, num_breakpoints: int) -> Iterator[Signature]:
     """All D(arity, num_breakpoints) cell signatures over 2*num_breakpoints+1
-    slots, in lexicographic order, one at a time."""
-    return _iter_over_slots(2 * _arity(num_breakpoints), _arity(arity))
+    slots, in lexicographic order, one at a time: `_slot_runs` from slot 0."""
+    return _slot_runs(0, 2 * _arity(num_breakpoints), _arity(arity))
 
 
-def _iter_over_slots(top: int, count: int) -> Iterator[Signature]:
-    """The signatures of count coordinates over the slots 0..top (top even), in
-    lexicographic order.  Each is the last one with its rightmost slot below
-    top raised by one, and every later slot the least that may follow it."""
-    sig = [0] * count
+def _slot_runs(lo: int, hi: int, count: int) -> Iterator[Signature]:
+    """The signatures of count coordinates over the slots lo..hi, in
+    lexicographic order, one at a time; none if none fits.  Each is the last
+    one with its rightmost slot below its top raised by one, and every later
+    slot the least that may follow it.  The top is hi for the last slot and
+    the even slot at or below hi for the others, since a coordinate on a point
+    has a successor only in a later slot."""
+    sig = [lo] + [lo + lo % 2] * (count - 1) if count else []
+    if sig and sig[-1] > hi:
+        return
     while True:
         yield tuple(sig)
-        i = count - 1
+        i, top = count - 1, hi
         while i >= 0 and sig[i] == top:
-            i -= 1
+            i, top = i - 1, hi - hi % 2
         if i < 0:
             return
         s = sig[i] + 1
         sig[i:] = [s] + [s + s % 2] * (count - 1 - i)
-
-
-def _slot_runs(lo: int, hi: int, count: int) -> list[Signature]:
-    """`iter_signatures` over the slots lo..hi only, as a list built level by
-    level: the expansion of one coarse slot in `refine`."""
-    runs = [()]
-    for _ in range(count):
-        runs = [r + (s,) for r in runs for s in range(r[-1] + r[-1] % 2 if r else lo, hi + 1)]
-    return runs
 
 
 def cell_volume(sig: Signature) -> int:
@@ -274,8 +272,8 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
     A gap slot splits into the alternating run gap/point/gap/... of new slots
     it contains; coordinates sharing a gap redistribute over the run in all
     weakly increasing ways.  A cell's image is the product of the expansions
-    of its (slot, group size) pairs, each built once per call; images of
-    distinct cells are disjoint, so each fine cell is written once.
+    of its (slot, group size) pairs, each listed once per call by `_slot_runs`;
+    images of distinct cells are disjoint, so each fine cell is written once.
     """
     fine = _check_breakpoints(finer)
     if fine == f.breakpoints:
@@ -291,7 +289,7 @@ def refine(f: SchwartzFn, finer: Sequence[Fraction]) -> SchwartzFn:
             key = (s, sig.count(s))
             parts = table.get(key)
             if parts is None:
-                parts = table[key] = _slot_runs(*spans[s], key[1])
+                parts = table[key] = list(_slot_runs(*spans[s], key[1]))
             image = [head + part for head in image for part in parts]
         coeffs.update(zip(image, repeat(c)))
     return SchwartzFn._trusted(f.arity, fine, coeffs)

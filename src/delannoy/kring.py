@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, prod
 from numbers import Rational
 
@@ -424,14 +425,11 @@ def hilbert_value(x: KClass, n: int) -> int | Fraction:
 
 
 def shuffle_words(u: str, v: str) -> Iterable[str]:
-    """All collision-free interleavings of two words, with multiplicity."""
-    if not u:
-        yield v
-        return
-    if not v:
-        yield u
-        return
-    for rest in shuffle_words(u[1:], v):
-        yield u[0] + rest
-    for rest in shuffle_words(u, v[1:]):
-        yield v[0] + rest
+    """All collision-free interleavings of two words, with multiplicity: one
+    per choice of the positions of u's letters, in lexicographic order of the
+    positions, so those starting with u[0] come first."""
+    for picks in combinations(range(len(u) + len(v)), len(u)):
+        letters = list(v)
+        for k, letter in zip(picks, u):  # in increasing order, so each lands at k
+            letters.insert(k, letter)
+        yield "".join(letters)

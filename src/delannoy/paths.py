@@ -129,11 +129,12 @@ def enumerate_paths(target: Sequence[int]) -> tuple[Path, ...]:
     """All Delannoy paths with the given target, sorted by step sequence.
 
     The empty target (dimension 0) and the zero target both yield the single
-    empty path.  The entries are checked here, before the cache lookup,
-    since the cache would take 2.0 for 2; the search itself is cached.
+    empty path.  The entries, integers but not bools, are checked here,
+    before the cache lookup, since the cache would take 2.0 for 2; the search
+    itself is cached.
     """
     target = tuple(target)
-    if not all(hasattr(a, "__index__") for a in target):
+    if not all(hasattr(a, "__index__") and type(a) is not bool for a in target):
         raise ValueError(f"target entries must be integers, got {target!r}")
     target = tuple(map(index, target))
     if any(a < 0 for a in target):
@@ -194,7 +195,7 @@ enumerate_paths.cache_info = _enumerate_paths.cache_info
 def delannoy_number(n: int, m: int) -> int:
     """D(n, m) = sum over k of C(n, k) * C(m, k) * 2^k, each term exactly the last
     times (n-k) * (m-k) * 2 / (k+1)^2; suite 01 checks it against the recurrence."""
-    if not (hasattr(n, "__index__") and hasattr(m, "__index__")):
+    if bool in (type(n), type(m)) or not (hasattr(n, "__index__") and hasattr(m, "__index__")):
         raise ValueError(f"arguments must be integers, got {n!r}, {m!r}")
     n, m = index(n), index(m)
     if n < 0 or m < 0:

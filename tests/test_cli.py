@@ -486,6 +486,16 @@ def test_malformed_json_is_a_usage_error(argv, name):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("option", ["trace --morphism", "compose --p2 [[1,1]] --p1"])
+def test_deeply_nested_json_is_a_usage_error(option):
+    # 1000 nested brackets ran the decoder past the recursion limit: a
+    # RecursionError traceback and exit 1, the code of a failed verification
+    proc = _run_process(*option.split(), "[" * 1000 + "]" * 1000)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("n, m", [(-1, -1), (-3, 1), (1, -2)])
 def test_negative_arity_is_a_usage_error(capsys, n, m):
     # a square (-1, -1) morphism used to be read as arity 0, with trace 0 and exit 0

@@ -177,6 +177,27 @@ class TestStandardProduct:
                 assert got == expected
 
 
+def shuffle_reference(u, v):
+    """The interleavings by first letter, recursively: those starting with u[0] first."""
+    if not u or not v:
+        return [u + v]
+    return ([u[0] + rest for rest in shuffle_reference(u[1:], v)]
+            + [v[0] + rest for rest in shuffle_reference(u, v[1:])])
+
+
+class TestShuffleWords:
+    def test_matches_the_recursion_in_order(self):
+        words = ["", "b", "w", "bw", "wb", "bbw", "wwbw", "bwbwb", "bbbbb"]
+        for u in words:
+            for v in words:
+                assert list(shuffle_words(u, v)) == shuffle_reference(u, v)
+
+    def test_long_word_needs_no_recursion(self):
+        # the recursive generator raised RecursionError past about 1000 letters
+        got = list(shuffle_words("b" * 1100, "w"))
+        assert got == ["b" * k + "w" + "b" * (1100 - k) for k in reversed(range(1101))]
+
+
 def reference_product(u, v):
     """The product as its definition reads: every interleaving of u and v in
     which letters may collide (equal letters keep the letter, b with w gives
@@ -628,7 +649,7 @@ class TestTrustedResults:
         assert_same_as_checked(s)
 
 
-@pytest.mark.parametrize("bad", BAD_ARITIES + [True])
+@pytest.mark.parametrize("bad", BAD_ARITIES)  # True among them
 def test_integer_arguments_reject_non_integers(bad):
     # 2.7 and True were read as parts 2 and 1, and 2.0 raised TypeError elsewhere
     b = word("b")
