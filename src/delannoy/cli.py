@@ -34,18 +34,10 @@ PATHS_LIMIT = 100_000
 # of the time.
 COMPOSITION_PAIRS_LIMIT = 20_000
 
-# The longest word `ring antipode` takes.  Its cost grows about sevenfold with
-# every two letters (CPU on a 2-vCPU VM, Python 3.11): bwbwbwbwbwbwbw (14
-# letters) takes about 0.7 s and 75 MiB, bwbw...bw with 16 letters about 5 s
-# and 230 MiB.  The antipode needs no stack that grows with the word.  A word
-# of b's alone is far cheaper, but not cheap: 100 b's take about 2 s, and 150
-# about 12 s.
-ANTIPODE_WORD_LIMIT = 14
-
 # The longest word `projector --word` and `trace --word` take.  The projector
-# sums 2^letters paths, so both double in cost with every letter (same
-# machine): at 14 letters `projector --format json` takes about 0.9 s and
-# 70 MiB for 3.5 MB of output, at 16 about 3.7 s and 240 MiB for 16 MB;
+# sums 2^letters paths, so both double in cost with every letter (CPU on a 2-vCPU
+# VM, Python 3.11): at 14 letters `projector --format json` takes about 0.9 s
+# and 70 MiB for 3.5 MB of output, at 16 about 3.7 s and 240 MiB for 16 MB;
 # `trace` took 0.3 s at 16 letters and 18.8 s at 22.
 PROJECTOR_WORD_LIMIT = 14
 
@@ -54,7 +46,7 @@ PROJECTOR_WORD_LIMIT = 14
 # chain they build.  At 16, on the same machine, adams bwwb --n 4 takes about
 # 1.2 s and 90 MiB and schur --lambda 2,2 bwbw about 1 s and 90 MiB; adams
 # bwbw --n 8 (degree 32) ran past 40 s, and schur --lambda 2,2 bwbwb (20) took
-# 106 s and 1.77 GiB.
+# 106 s and 1.77 GiB.  `ring antipode` takes words of this many letters.
 RING_DEGREE_LIMIT = 16
 
 
@@ -72,9 +64,17 @@ def _path_cell(p: Path) -> str:
     return json.dumps([list(s) for s in p.steps], separators=(",", ":"))
 
 
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # Python 3.11 (and 3.10.7) caps the digits of an int it converts
+        raise ValueError(f"the count has more digits than the {sys.get_int_max_str_digits()} "
+                         "that Python converts to text") from None
+
+
 def _check_size(size: int, limit: int, subject: str, taker: str) -> None:
-    if size > limit:
-        raise ValueError(f"{subject}, more than the {limit} that {taker}")
+    if size > limit:  # `{}` in the subject stands for the size
+        raise ValueError(f"{subject.format(_int_text(size))}, more than the {limit} that {taker}")
 
 
 def _kclass_rows(x: KClass) -> list[list[str]]:
@@ -107,11 +107,12 @@ def _morphism_output(args, m: Morphism) -> None:
 
 def cmd_count(args) -> int:
     value = delannoy_number(args.n, args.m)
+    text = _int_text(value)
     _emit(
         args,
         lambda: {"count": value},
-        lambda: (["n", "m", "count"], [[args.n, args.m, value]]),
-        lambda: [f"D({args.n}, {args.m}) = {value}"],
+        lambda: (["n", "m", "count"], [[args.n, args.m, text]]),
+        lambda: [f"D({args.n}, {args.m}) = {text}"],
     )
     return 0
 
@@ -119,7 +120,7 @@ def cmd_count(args) -> int:
 def cmd_paths(args) -> int:
     if min(args.n, args.m) >= 0:  # enumerate_paths reports a negative target
         count = delannoy_number(args.n, args.m)
-        _check_size(count, PATHS_LIMIT, f"there are {count} paths to ({args.n}, {args.m})",
+        _check_size(count, PATHS_LIMIT, f"there are {{}} paths to ({args.n}, {args.m})",
                     "'paths' lists; 'count' gives the number alone")
     paths = enumerate_paths((args.n, args.m))
     _emit(
@@ -148,7 +149,7 @@ def cmd_compose(args) -> int:
     p1, p2 = _parse_path(args.p1), _parse_path(args.p2)
     if p1.dim == 2 == p2.dim and p1.target[1] == p2.target[0]:  # else the engine refuses them
         count = delannoy_number(p1.target[0], p2.target[1])
-        _check_size(count, PATHS_LIMIT, f"the result has {count} basis paths", "'compose' takes")
+        _check_size(count, PATHS_LIMIT, "the result has {} basis paths", "'compose' takes")
     if args.oracle:
         result = category.compose_oracle(p1, p2)
     else:
@@ -158,7 +159,7 @@ def cmd_compose(args) -> int:
 
 
 def _check_word_length(word: str, limit: int, command: str) -> None:
-    _check_size(len(word), limit, f"the word has {len(word)} letters", f"'{command}' takes")
+    _check_size(len(word), limit, "the word has {} letters", f"'{command}' takes")
 
 
 def cmd_projector(args) -> int:
@@ -201,7 +202,7 @@ def _emit_ktensor(args, t: KTensorClass) -> None:
 
 def _check_ring_degree(word: str, factor: int, name: str, op: str) -> None:
     degree = max(len(word), 1) * factor
-    _check_size(degree, RING_DEGREE_LIMIT, f"the degree max(letters, 1) * {name} is {degree}",
+    _check_size(degree, RING_DEGREE_LIMIT, f"the degree max(letters, 1) * {name} is {{}}",
                 f"'ring {op}' takes")
 
 
@@ -215,7 +216,7 @@ def cmd_ring(args) -> int:
         t = KTensorClass.pure(KClass.word(args.x), KClass.word(args.y))
         _emit_kclass(args, kring.induce(t))
     elif op == "antipode":
-        _check_word_length(args.word, ANTIPODE_WORD_LIMIT, "ring antipode")
+        _check_word_length(args.word, RING_DEGREE_LIMIT, "ring antipode")
         _emit_kclass(args, kring.antipode(KClass.word(args.word)))
     elif op == "adams":
         if args.n < 1:
@@ -326,7 +327,7 @@ def cmd_export(args) -> int:
         if min(args.n, m) >= 0:  # enumerate_paths reports a negative target
             pairs = delannoy_number(args.n, m) * delannoy_number(m, args.n)
             _check_size(pairs, COMPOSITION_PAIRS_LIMIT, f"the composition table for n = "
-                        f"{args.n}, m = {m} has {pairs} basis pairs", "'export' composes")
+                        f"{args.n}, m = {m} has {{}} basis pairs", "'export' composes")
         table = {"table": "composition", "n": args.n, "m": m}
         header = ["left", "right", "result", "coeff"]
         cell = lru_cache(maxsize=None)(_path_cell)  # each path is encoded once

@@ -348,12 +348,9 @@ def check_weight(word: str) -> str:
 
 def all_weights(length: int) -> list[str]:
     """All 2^length weight words of the given length, in lexicographic order."""
-    return ["".join(w) for w in itertools.product(WEIGHT_LETTERS, repeat=length)]
+    return ["".join(w) for w in itertools.product(WEIGHT_LETTERS, repeat=_arity(length, "length"))]
 
 
 def weights_up_to(length: int) -> list[str]:
     """All weight words of length <= the bound, shortest first."""
-    out: list[str] = []
-    for n in range(length + 1):
-        out.extend(all_weights(n))
-    return out
+    return [w for n in range(_arity(length, "length") + 1) for w in all_weights(n)]

@@ -335,11 +335,10 @@ def suite_ring(report: VerificationReport, rng: random.Random) -> None:
 
 def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
     one = KClass.unit()
-    words4 = weights_up_to(4)
 
-    def convolutions(left_term, right_term, target):
+    def convolutions(degree, left_term, right_term, target):
         # per word u, the sums of coeff * term(a, c) over the terms coeff * (a, c) of restrict(u)
-        for u in words4:
+        for u in weights_up_to(degree):
             left = right = KClass()
             for (a, c), coeff in kring.restrict(KClass.word(u)).coeffs.items():
                 left = left + coeff * left_term(KClass.word(a), KClass.word(c))
@@ -348,14 +347,13 @@ def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
 
     report.expect(
         "counit axioms at degree <= 4",
-        convolutions(
-            lambda x, y: kring.counit(x) * y, lambda x, y: kring.counit(y) * x, lambda x: x
-        ),
+        convolutions(4, lambda x, y: kring.counit(x) * y, lambda x, y: kring.counit(y) * x,
+                     lambda x: x),
     )
     report.expect(
-        "antipode axioms at degree <= 4",
-        convolutions(lambda x, y: kring.antipode(x) * y, lambda x, y: x * kring.antipode(y),
-                     lambda x: kring.counit(x) * one),
+        "antipode axioms at degree <= 6",
+        convolutions(6, lambda x, y: kring.antipode(x) * y,
+                     lambda x, y: x * kring.antipode(y), lambda x: kring.counit(x) * one),
     )
     b, w = KClass.word("b"), KClass.word("w")
     antipodes = {
@@ -391,9 +389,9 @@ def suite_hopf(report: VerificationReport, rng: random.Random) -> None:
         "associated graded product is the shuffle product at degree <= 3", graded_products()
     )
     report.expect(
-        "antipode leading term is the signed reversal at degree <= 4",
+        "antipode leading term is the signed reversal at degree <= 6",
         ((u, _top(kring.antipode(KClass.word(u)), len(u)), {u[::-1]: (-1) ** len(u)})
-         for u in words4),
+         for u in weights_up_to(6)),
     )
 
 

@@ -416,6 +416,49 @@ def test_count_of_a_huge_target_ends():
         assert proc.stdout.startswith("D(20000, 20000) = ")
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+def _digits_refusal(limit):
+    return f"error: the count has more digits than the {limit} that Python converts to text\n"
+
+
+@pytest.mark.skipif(not 0 < INT_DIGITS < 15_309, reason="the interpreter prints D(20000, 20000)")
+def test_count_past_the_digit_limit_is_a_usage_error():
+    # it was Python's own message, which names a function to raise the limit
+    proc = _run_process("count", "--n", "20000", "--m", "20000", timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == _digits_refusal(INT_DIGITS)
+
+
+def test_paths_past_the_digit_limit_end_in_one_line():
+    # D(6000, 6000) has 4 594 digits
+    proc = _run_process("paths", "--n", "6000", "--m", "6000", timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "set_int_max_str_digits" not in proc.stderr
+    if 0 < INT_DIGITS < 4594:
+        assert proc.stderr == _digits_refusal(INT_DIGITS)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("argv", [
+    ["compose", "--p1", _straight([1, 0], 1000), "--p2", _straight([0, 1], 1000)],
+    ["export", "--table", "composition", "--n", "1000", "--m", "1000"],
+], ids=["compose", "export"])
+def test_refusals_past_the_digit_limit_name_it(capsys, argv):
+    # D(1000, 1000) has 766 digits, past the smallest limit Python allows (640)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == _digits_refusal(640)
+
+
 @ROUTES
 def test_compose_budget_boundary(capsys, monkeypatch, route):
     # [[1,1]] then [[1,1]]: D(1, 1) = 3 result paths
@@ -524,13 +567,15 @@ def test_ring_mul_long_word_matches_closed_form(n):
 
 
 def test_antipode_of_a_long_word_is_a_usage_error(capsys):
-    # 1 200 letters ran into the recursion limit: exit 1 with a traceback
+    # 1 200 letters ran into the recursion limit: exit 1 with a traceback.  The degree
+    # of S(w) is |w|, so the word takes the ring's degree budget
     proc = _run_process("ring", "antipode", "--word", "b" * 1200)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (f"error: the word has 1200 letters, more than the "
-                           f"{cli.ANTIPODE_WORD_LIMIT} that 'ring antipode' takes\n")
-    code, out = run_cli(capsys, "ring", "antipode", "--word", "b" * cli.ANTIPODE_WORD_LIMIT)
+                           f"{cli.RING_DEGREE_LIMIT} that 'ring antipode' takes\n")
+    code, out = run_cli(capsys, "ring", "antipode", "--word", "bw" * (cli.RING_DEGREE_LIMIT // 2))
     assert code == 0 and out
+    assert main(["ring", "antipode", "--word", "b" * (cli.RING_DEGREE_LIMIT + 1)]) == 2
 
 
 @pytest.mark.parametrize("command", ["projector", "trace"])

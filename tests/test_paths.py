@@ -20,7 +20,9 @@ from delannoy.paths import (
     enumerate_paths,
     lift3,
     project_path,
+    weights_up_to,
 )
+from test_category import BAD_ARITIES
 
 
 def brute_force_paths(target):
@@ -422,3 +424,11 @@ def test_all_weights():
     assert all_weights(0) == [""]
     assert all_weights(1) == ["b", "w"]
     assert len(all_weights(3)) == 8 and all_weights(3) == sorted(all_weights(3))
+
+
+@pytest.mark.parametrize("bad", BAD_ARITIES)
+def test_weight_lists_reject_bad_lengths(bad):
+    # True read as 1, -1 gave [] or itertools' message, 2.0 and "2" a TypeError
+    for words in (all_weights, weights_up_to):
+        with pytest.raises(ValueError, match="length must be a non-negative integer"):
+            words(bad)
